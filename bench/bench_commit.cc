@@ -44,7 +44,9 @@ main(int argc, char **argv)
     std::vector<std::string> headers{"workload"};
     for (Cycles a : arb)
         headers.push_back(a == 0 ? std::string("local")
-                                 : "+" + std::to_string(a) + "cy");
+                                 : std::string("+")
+                                       .append(std::to_string(a))
+                                       .append("cy"));
     headers.push_back("commits");
     harness::Table table(std::move(headers));
 

@@ -4,11 +4,11 @@
  *
  * Stats JSON, waste profiles and blackbox dumps from different builds
  * are otherwise indistinguishable on disk; a week later nobody knows
- * which commit, build type or feature set produced a given file.  The
- * build system passes the git hash and build type as compile-time
- * definitions (see src/base/CMakeLists.txt); feature flags that change
- * simulator behaviour or cost (e.g. FENCELESS_NO_PROFILER) are folded
- * in here so adding one is a one-line change.
+ * which commit or build type produced a given file.  The build
+ * system passes the git hash and build type as compile-time
+ * definitions (see src/base/CMakeLists.txt).  The JSON form keeps an
+ * empty "features" list: the build has no compile-time feature
+ * switches, and the key keeps every artefact's layout stable.
  */
 
 #pragma once
@@ -24,9 +24,6 @@ const char *gitHash();
 
 /** CMake build type the binary was compiled as ("unknown" if unset). */
 const char *buildType();
-
-/** Comma-separated compile-time feature flags ("" when none are set). */
-const char *features();
 
 /**
  * The provenance block as one JSON object, e.g.

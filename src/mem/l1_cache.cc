@@ -130,12 +130,6 @@ L1Cache::rollbackSpecWrites()
         // MStale: owned, data invalid.
         blk->state = L1State::MStale;
         blk->dirty = false;
-#ifdef FL_DEBUG_WATCH
-        if (addr == (FL_DEBUG_WATCH & ~63UL)) {
-            fprintf(stderr, "[%lu] %s rollback SW block 0x%lx\n",
-                    curTick(), name().c_str(), addr);
-        }
-#endif
     }
     sw_blocks_.clear();
     sr_blocks_.clear();
@@ -183,6 +177,11 @@ L1Cache::access(MemRequest req)
     flAssert(array_.blockAlign(req.addr + req.size - 1) == block_addr,
              name(), ": access crosses a block boundary @0x", std::hex,
              req.addr);
+    // Checked here, not when the response arrives cycles later, so a
+    // malformed request fails at the call that issued it.
+    flAssert(req.done_fn, name(), ": request without a completion");
+    flAssert(!req.isAmo() || req.amo_fn,
+             name(), ": AMO request without an AMO function");
 
     switch (req.op) {
       case MemOp::Load: ++stat_loads_; break;
@@ -295,14 +294,6 @@ L1Cache::performLoad(L1Block &blk, MemRequest &req)
         prof_->touchLine(core_id_, blk.block_addr,
                          static_cast<unsigned>(offset), req.size);
     }
-#ifdef FL_DEBUG_WATCH
-    if (req.addr == FL_DEBUG_WATCH) {
-        fprintf(stderr, "[%lu] %s load 0x%lx -> %lu spec=%d state=%s\n",
-                curTick(), name().c_str(), req.addr,
-                blk.readInt(offset, req.size), (int)req.spec,
-                l1StateName(blk.state));
-    }
-#endif
     respond(req, blk.readInt(offset, req.size));
 }
 
@@ -346,18 +337,9 @@ L1Cache::performWrite(L1Block &blk, MemRequest &req)
     }
 
     const Addr offset = req.addr - blk.block_addr;
-#ifdef FL_DEBUG_WATCH
-    if (req.addr == FL_DEBUG_WATCH) {
-        fprintf(stderr, "[%lu] %s write 0x%lx val=%lu spec=%d ep=%u\n",
-                curTick(), name().c_str(), req.addr, req.store_data,
-                (int)req.spec, req.spec_epoch);
-    }
-#endif
     std::uint64_t old_value = 0;
     if (req.isAmo()) {
         old_value = blk.readInt(offset, req.size);
-        flAssert(req.amo_fn || static_cast<bool>(req.amo_func),
-                 name(), ": AMO request without an AMO function");
         blk.writeInt(offset, req.size, req.applyAmo(old_value));
     } else {
         blk.writeInt(offset, req.size, req.store_data);
@@ -374,31 +356,22 @@ L1Cache::performWrite(L1Block &blk, MemRequest &req)
 }
 
 void
-L1Cache::respond(MemRequest &req, std::uint64_t value)
+L1Cache::respond(const MemRequest &req, std::uint64_t value)
 {
-    // Fast path: the bound completion slot makes the delivery one-shot
-    // a POD closure -- it fits the pool node's inline storage and is
+    // The bound completion slot makes the delivery one-shot a POD
+    // closure -- it fits the pool node's inline storage and is
     // trivially destructible, so an L1 hit allocates nothing at all.
-    if (req.done_fn) {
-        struct Deliver
-        {
-            MemRequest::DoneFn fn;
-            void *obj;
-            std::uint64_t ctx;
-            std::uint64_t value;
-            void operator()() const { fn(obj, ctx, value); }
-        };
-        sim::scheduleOneShot(eventq(), curTick() + params_.hit_latency,
-                             Deliver{req.done_fn, req.done_obj,
-                                     req.done_ctx, value});
-        return;
-    }
-    flAssert(static_cast<bool>(req.callback),
-             name(), ": request without completion callback");
+    struct Deliver
+    {
+        MemRequest::DoneFn fn;
+        void *obj;
+        std::uint64_t ctx;
+        std::uint64_t value;
+        void operator()() const { fn(obj, ctx, value); }
+    };
     sim::scheduleOneShot(eventq(), curTick() + params_.hit_latency,
-                         [cb = std::move(req.callback), value] {
-                             cb(value);
-                         });
+                         Deliver{req.done_fn, req.done_obj, req.done_ctx,
+                                 value});
 }
 
 // ---------------------------------------------------------------------

@@ -88,8 +88,9 @@ class L1Cache : public sim::SimObject, public MsgReceiver
 
     /**
      * Present one access.  The request completes asynchronously through
-     * its callback; requests to the same block as an outstanding miss
-     * are queued behind it and replayed in order.
+     * its bound completion slot (MemRequest::done_fn), which must be set,
+     * as must MemRequest::amo_fn for an AMO; requests to the same block
+     * as an outstanding miss are queued behind it and replayed in order.
      */
     void access(MemRequest req);
 
@@ -223,7 +224,7 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     void handleMiss(MemRequest req, bool want_m);
     void performLoad(L1Block &blk, MemRequest &req);
     void performWrite(L1Block &blk, MemRequest &req);
-    void respond(MemRequest &req, std::uint64_t value);
+    void respond(const MemRequest &req, std::uint64_t value);
 
     // fill path
     void handleData(const Msg &msg);

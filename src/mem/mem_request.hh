@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 
 #include "base/types.hh"
 
@@ -24,25 +24,23 @@ enum class MemOp : std::uint8_t
 /**
  * One memory access presented to the L1.
  *
- * The L1 completes a request asynchronously by invoking its completion
- * callback with the loaded value (the *old* value for AMOs, unused for
- * stores).  Two callback forms exist:
+ * The L1 completes a request asynchronously through its bound
+ * completion slot: it calls the plain function pointer @ref done_fn
+ * with the receiver object @ref done_obj, one word of context
+ * @ref done_ctx and the loaded value (the *old* value for AMOs, unused
+ * for stores).  Building the slot allocates nothing, and the L1's
+ * response one-shot stays a trivially-destructible POD closure.  The
+ * issuer keeps any per-request state (destination register, issue
+ * tick) in the receiver object; @ref done_ctx typically carries a
+ * generation or sequence number so stale responses can be recognised.
  *
- *  - The *bound slot* (@ref done_fn / @ref done_obj / @ref done_ctx): a
- *    plain function pointer plus a receiver object and one word of
- *    context.  This is the hot path -- building it allocates nothing,
- *    and the L1's response one-shot stays a trivially-destructible POD
- *    closure.  The issuer keeps any per-request state (destination
- *    register, issue tick) in the receiver object; @ref done_ctx
- *    typically carries a generation or sequence number so stale
- *    responses can be recognised.
- *  - The legacy @ref callback std::function, kept for tests and
- *    cold-path users.  Used only when @ref done_fn is null.
+ * An AMO's new value is @ref amo_fn applied to (@ref amo_sel, old,
+ * @ref amo_a, @ref amo_b), which keeps the memory system independent
+ * of ISA details.  L1Cache::access() refuses a request without
+ * @ref done_fn, or an AMO without @ref amo_fn.
  *
- * AMOs analogously come in two forms: the raw @ref amo_fn function
- * pointer applied to (@ref amo_sel, old, @ref amo_a, @ref amo_b), or
- * the legacy @ref amo_func closure.  Both keep the memory system
- * independent of ISA details.
+ * The struct is trivially copyable (asserted below): requests are
+ * passed and queued by value, so a closure member must not creep in.
  */
 struct MemRequest
 {
@@ -78,9 +76,6 @@ struct MemRequest
     std::uint64_t amo_a = 0;  //!< first AMO operand (e.g. rs2 value)
     std::uint64_t amo_b = 0;  //!< second AMO operand (e.g. rs3 value)
 
-    std::function<std::uint64_t(std::uint64_t)> amo_func; //!< legacy
-    std::function<void(std::uint64_t)> callback;          //!< legacy
-
     bool isLoad() const { return op == MemOp::Load; }
     bool isStore() const { return op == MemOp::Store; }
     bool isAmo() const { return op == MemOp::Amo; }
@@ -89,21 +84,15 @@ struct MemRequest
     /** @return true if the access needs write (M) permission. */
     bool needsWrite() const { return op != MemOp::Load; }
 
-    /** @return true if either completion form is set. */
-    bool
-    hasCompletion() const
-    {
-        return done_fn != nullptr || static_cast<bool>(callback);
-    }
-
-    /** Apply the AMO function (either form) to @p old_value. */
+    /** Apply the AMO function to @p old_value. */
     std::uint64_t
     applyAmo(std::uint64_t old_value) const
     {
-        return amo_fn ? amo_fn(amo_sel, old_value, amo_a, amo_b)
-                      : amo_func(old_value);
+        return amo_fn(amo_sel, old_value, amo_a, amo_b);
     }
 };
+
+static_assert(std::is_trivially_copyable_v<MemRequest>);
 
 /**
  * Interface the speculation controller exposes to its L1 cache.

@@ -122,6 +122,9 @@ writeOne(std::ostream &os, const TraceSink &sink, const TraceRecord &r)
         os << " req=" << r.a0 << " latency=" << r.a1 << " msg="
            << sink.auxName(kind, r.aux);
         break;
+      case EventKind::HostPhase:
+      case EventKind::HostCoord:
+      case EventKind::ReqStage:
       case EventKind::NumKinds:
         break;
     }

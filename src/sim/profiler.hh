@@ -23,8 +23,7 @@
  * SimContext, driven by that context's single host thread, so
  * host-parallel sweeps need no locking and stay TSan-clean.  Disabled
  * cost is one cached-pointer null test per site (components cache
- * `ifEnabled()`, which is constant-null when FENCELESS_NO_PROFILER is
- * defined, letting the compiler drop the instrumentation entirely).
+ * `ifEnabled()`).
  *
  * Cycles spent inside a speculative epoch are *staged* per core and
  * only merged into the main per-PC buckets when the epoch commits; a
@@ -160,12 +159,6 @@ struct Profile
 class WasteProfiler
 {
   public:
-#ifdef FENCELESS_NO_PROFILER
-    static constexpr bool compiled_in = false;
-#else
-    static constexpr bool compiled_in = true;
-#endif
-
     /**
      * Enable profiling for a system of @p num_pcs static instructions
      * and @p num_cores cores.  Must be called before the components
@@ -178,13 +171,13 @@ class WasteProfiler
     bool enabled() const { return enabled_; }
 
     /**
-     * The pointer hot paths cache: null when profiling is disabled (or
-     * compiled out), so the per-site disabled cost is one null test.
+     * The pointer hot paths cache: null when profiling is disabled, so
+     * the per-site disabled cost is one null test.
      */
     WasteProfiler *
     ifEnabled()
     {
-        return compiled_in && enabled_ ? this : nullptr;
+        return enabled_ ? this : nullptr;
     }
 
     // --- core-side hot path ---------------------------------------------

@@ -203,9 +203,6 @@ class TraceSink
         return components_;
     }
 
-    /** Fresh id for one memory request's lifetime (1-based; 0 = none). */
-    std::uint64_t nextRequestId() { return ++last_req_id_; }
-
     /**
      * Map integer aux payloads of @p kind to printable names (e.g.
      * StallReason ids); the exporter uses them for event args.  The
@@ -328,7 +325,6 @@ class TraceSink
     std::size_t max_records_;
     std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
-    std::uint64_t last_req_id_ = 0;
     std::vector<std::vector<TraceRecord>> chunks_;
     std::vector<std::string> components_;
     std::vector<std::vector<std::string>> aux_names_;

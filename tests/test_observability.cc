@@ -140,14 +140,6 @@ TEST(TraceSink, CapsAndCountsDrops)
     EXPECT_EQ(sink.dropped(), 12u);
 }
 
-TEST(TraceSink, RequestIdsAreFreshAndNonZero)
-{
-    trace::TraceSink sink;
-    EXPECT_EQ(sink.nextRequestId(), 1u);
-    EXPECT_EQ(sink.nextRequestId(), 2u);
-    EXPECT_EQ(sink.nextRequestId(), 3u);
-}
-
 TEST(TraceSink, AuxNamesResolvePerKind)
 {
     trace::TraceSink sink;

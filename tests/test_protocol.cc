@@ -24,6 +24,22 @@ namespace
 {
 
 /**
+ * Bind @p on_done to @p req's completion slot -- the same
+ * done_fn/done_obj form the core and store buffer use, so every test
+ * drives the L1's real response path.  The caller owns @p on_done and
+ * keeps it alive until the request completes.
+ */
+template <typename F>
+void
+bindDone(MemRequest &req, F &on_done)
+{
+    req.done_obj = &on_done;
+    req.done_fn = [](void *obj, std::uint64_t, std::uint64_t value) {
+        (*static_cast<F *>(obj))(value);
+    };
+}
+
+/**
  * A tiny two-L1 + directory test bench.  @p banks splits the directory
  * into address-interleaved banks (nodes 2 .. 2 + banks - 1), the same
  * arrangement the System builds; 1 keeps the classic monolith.
@@ -86,7 +102,8 @@ class ProtocolBench
         req.op = MemOp::Load;
         req.addr = addr;
         req.size = static_cast<std::uint8_t>(size);
-        req.callback = [&result](std::uint64_t v) { result = v; };
+        auto on_done = [&result](std::uint64_t v) { result = v; };
+        bindDone(req, on_done);
         l1s[core]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(result.has_value()) << "load did not complete";
@@ -104,7 +121,8 @@ class ProtocolBench
         req.addr = addr;
         req.size = static_cast<std::uint8_t>(size);
         req.store_data = value;
-        req.callback = [&done](std::uint64_t) { done = true; };
+        auto on_done = [&done](std::uint64_t) { done = true; };
+        bindDone(req, on_done);
         l1s[core]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(done) << "store did not complete";
@@ -119,10 +137,13 @@ class ProtocolBench
         req.op = MemOp::Amo;
         req.addr = addr;
         req.size = 8;
-        req.amo_func = [delta](std::uint64_t old_v) {
-            return old_v + delta;
+        req.amo_fn = [](std::uint8_t, std::uint64_t old_value,
+                        std::uint64_t a, std::uint64_t) {
+            return old_value + a;
         };
-        req.callback = [&result](std::uint64_t v) { result = v; };
+        req.amo_a = delta;
+        auto on_done = [&result](std::uint64_t v) { result = v; };
+        bindDone(req, on_done);
         l1s[core]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(result.has_value()) << "AMO did not complete";
@@ -317,12 +338,14 @@ TEST(Protocol2, ConcurrentLoadsSameBlockCoalesceInMshr)
     a.op = MemOp::Load;
     a.addr = 0x5000;
     a.size = 8;
-    a.callback = [&r1](std::uint64_t v) { r1 = v; };
+    auto a_done = [&r1](std::uint64_t v) { r1 = v; };
+    bindDone(a, a_done);
     MemRequest c;
     c.op = MemOp::Load;
     c.addr = 0x5008;
     c.size = 8;
-    c.callback = [&r2](std::uint64_t v) { r2 = v; };
+    auto c_done = [&r2](std::uint64_t v) { r2 = v; };
+    bindDone(c, c_done);
     b.l1s[0]->access(std::move(a));
     b.l1s[0]->access(std::move(c)); // queued on the same MSHR
     b.ctx.eventq.run();
@@ -341,13 +364,15 @@ TEST(Protocol2, RacingWritersBothComplete)
     a.addr = 0x6000;
     a.size = 8;
     a.store_data = 10;
-    a.callback = [&done0](std::uint64_t) { done0 = true; };
+    auto a_done = [&done0](std::uint64_t) { done0 = true; };
+    bindDone(a, a_done);
     MemRequest c;
     c.op = MemOp::Store;
     c.addr = 0x6000;
     c.size = 8;
     c.store_data = 20;
-    c.callback = [&done1](std::uint64_t) { done1 = true; };
+    auto c_done = [&done1](std::uint64_t) { done1 = true; };
+    bindDone(c, c_done);
     b.l1s[0]->access(std::move(a));
     b.l1s[1]->access(std::move(c)); // same tick, racing GetMs
     b.ctx.eventq.run();
@@ -368,13 +393,15 @@ TEST(Protocol2, ReadersAndWriterRace)
     ld.op = MemOp::Load;
     ld.addr = 0x7000;
     ld.size = 8;
-    ld.callback = [&r](std::uint64_t v) { r = v; };
+    auto ld_done = [&r](std::uint64_t v) { r = v; };
+    bindDone(ld, ld_done);
     MemRequest st;
     st.op = MemOp::Store;
     st.addr = 0x7000;
     st.size = 8;
     st.store_data = 8;
-    st.callback = [&done](std::uint64_t) { done = true; };
+    auto st_done = [&done](std::uint64_t) { done = true; };
+    bindDone(st, st_done);
     b.l1s[0]->access(std::move(ld));
     b.l1s[1]->access(std::move(st));
     b.ctx.eventq.run();
@@ -394,7 +421,8 @@ TEST(Protocol2, PrefetchExGrantsOwnershipWithoutWriting)
     pf.op = MemOp::PrefetchEx;
     pf.addr = 0x8000;
     pf.size = 8;
-    pf.callback = [&done](std::uint64_t) { done = true; };
+    auto pf_done = [&done](std::uint64_t) { done = true; };
+    bindDone(pf, pf_done);
     b.l1s[0]->access(std::move(pf));
     b.ctx.eventq.run();
     EXPECT_TRUE(done);
@@ -412,8 +440,34 @@ TEST(Protocol2, BlockBoundaryAccessRejected)
     req.op = MemOp::Load;
     req.addr = 0x103c; // 4 bytes before a 64B boundary
     req.size = 8;
-    req.callback = [](std::uint64_t) {};
+    auto on_done = [](std::uint64_t) {};
+    bindDone(req, on_done);
     EXPECT_DEATH(b.l1s[0]->access(std::move(req)), "crosses");
+}
+
+TEST(Protocol2, RequestWithoutCompletionRejected)
+{
+    // Refused at issue, not when the response would arrive cycles later.
+    ProtocolBench b;
+    MemRequest req;
+    req.op = MemOp::Load;
+    req.addr = 0x1000;
+    req.size = 8;
+    EXPECT_DEATH(b.l1s[0]->access(std::move(req)),
+                 "request without a completion");
+}
+
+TEST(Protocol2, AmoWithoutFunctionRejected)
+{
+    ProtocolBench b;
+    MemRequest req;
+    req.op = MemOp::Amo;
+    req.addr = 0x1000;
+    req.size = 8;
+    auto on_done = [](std::uint64_t) {};
+    bindDone(req, on_done);
+    EXPECT_DEATH(b.l1s[0]->access(std::move(req)),
+                 "AMO request without an AMO function");
 }
 
 TEST(Protocol2, NetworkPreservesChannelFifo)
@@ -526,7 +580,8 @@ class SpecBench : public ProtocolBench
         req.size = 8;
         req.spec = true;
         req.spec_epoch = mock.epoch;
-        req.callback = [&result](std::uint64_t v) { result = v; };
+        auto on_done = [&result](std::uint64_t v) { result = v; };
+        bindDone(req, on_done);
         l1s[0]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(result.has_value());
@@ -545,7 +600,8 @@ class SpecBench : public ProtocolBench
         req.store_data = value;
         req.spec = true;
         req.spec_epoch = mock.epoch;
-        req.callback = [&done](std::uint64_t) { done = true; };
+        auto on_done = [&done](std::uint64_t) { done = true; };
+        bindDone(req, on_done);
         l1s[0]->access(std::move(req));
         ctx.eventq.run();
         EXPECT_TRUE(done);
@@ -669,7 +725,8 @@ TEST(SpecProtocol, StaleEpochStoreIsDropped)
     req.store_data = 60;
     req.spec = true;
     req.spec_epoch = 1; // stale!
-    req.callback = [&done](std::uint64_t) { done = true; };
+    auto on_done = [&done](std::uint64_t) { done = true; };
+    bindDone(req, on_done);
     b.l1s[0]->access(std::move(req));
     b.ctx.eventq.run();
     EXPECT_TRUE(done); // completes as a no-op
