@@ -34,6 +34,8 @@ out()
 namespace
 {
 
+// The parseable names.  Flag::Span is deliberately absent: span
+// boundaries are recorded when --tail-sample asks, never by --trace.
 constexpr Flag all_flags[] = {
     Flag::Core, Flag::SB, Flag::L1, Flag::Dir, Flag::Net, Flag::Spec,
     Flag::Req, Flag::Stall, Flag::Host, Flag::All,
@@ -54,6 +56,7 @@ flagName(Flag f)
       case Flag::Req: return "req";
       case Flag::Stall: return "stall";
       case Flag::Host: return "host";
+      case Flag::Span: return "span";
       case Flag::All: return "all";
     }
     return "?";

@@ -1,6 +1,8 @@
 #include "harness/options.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -80,9 +82,9 @@ Options::Options(int argc, char **argv)
         std::exit(0);
     }
     csv_ = has("csv");
-    scale_ = static_cast<unsigned>(getInt("scale", 1));
+    scale_ = static_cast<unsigned>(getInt("scale", 1, UINT_MAX));
     seed_ = getInt("seed", 42);
-    jobs_ = static_cast<unsigned>(getInt("jobs", 0));
+    jobs_ = static_cast<unsigned>(getInt("jobs", 0, UINT_MAX));
 
     for (const char *opt : {"trace-out", "stats-json", "profile-out",
                             "blackbox-out", "sweep-json",
@@ -102,24 +104,33 @@ Options::get(const std::string &name) const
 }
 
 std::uint64_t
-Options::getInt(const std::string &name, std::uint64_t fallback) const
+Options::getInt(const std::string &name, std::uint64_t fallback,
+                std::uint64_t max) const
 {
     auto it = values_.find(name);
     if (it == values_.end())
         return fallback;
-    try {
-        return std::stoull(it->second);
-    } catch (...) {
-        fatal("option --", name, " expects a number, got '",
-              it->second, "'");
+    // from_chars, not stoull: stoull skips whitespace, accepts a sign
+    // (wrapping "-1" to 2^64-1) and stops quietly at trailing junk.
+    const std::string &v = it->second;
+    std::uint64_t n = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+    if (v.empty() || end != v.data() + v.size() ||
+        ec == std::errc::invalid_argument) {
+        fatal("option --", name, " expects a number, got '", v, "'");
     }
+    if (ec == std::errc::result_out_of_range || n > max)
+        fatal("option --", name, " is out of range (at most ", max,
+              "), got '", v, "'");
+    return n;
 }
 
 SystemConfig
 Options::applyTo(SystemConfig base) const
 {
     if (has("cores"))
-        base.num_cores = static_cast<std::uint32_t>(getInt("cores", 0));
+        base.num_cores =
+            static_cast<std::uint32_t>(getInt("cores", 0, UINT32_MAX));
     if (has("model"))
         base.model = cpu::parseConsistencyModel(get("model"));
     if (has("spec")) {
@@ -155,11 +166,11 @@ Options::applyTo(SystemConfig base) const
         }
     }
     if (has("sb-size"))
-        base.sb_size = static_cast<unsigned>(getInt("sb-size", 0));
+        base.sb_size = static_cast<unsigned>(getInt("sb-size", 0, UINT_MAX));
     if (has("l1-kb"))
-        base.l1.size = getInt("l1-kb", 0) * 1024;
+        base.l1.size = getInt("l1-kb", 0, UINT64_MAX / 1024) * 1024;
     if (has("l2-kb"))
-        base.l2.size = getInt("l2-kb", 0) * 1024;
+        base.l2.size = getInt("l2-kb", 0, UINT64_MAX / 1024) * 1024;
     if (has("dram-latency"))
         base.l2.dram_latency = getInt("dram-latency", 0);
     if (has("net-latency"))
@@ -216,8 +227,8 @@ Options::applyTo(SystemConfig base) const
     if (profiling())
         base.profile = true;
     if (has("blackbox"))
-        base.blackbox_records =
-            static_cast<std::size_t>(getInt("blackbox", 0));
+        base.blackbox_records = static_cast<std::size_t>(getInt(
+            "blackbox", 0, trace::TraceSink::max_ring_records));
     if (has("watchdog-interval"))
         base.watchdog_interval = getInt("watchdog-interval", 0);
     if (has("watchdog-storm"))
@@ -233,8 +244,8 @@ Options::applyTo(SystemConfig base) const
             std::cerr << "warning: --tail-sample=0 disables span "
                          "tracing; tail outputs will be empty\n";
         }
-        base.tail_outliers =
-            static_cast<std::uint32_t>(getInt("outliers", 10));
+        base.tail_outliers = static_cast<std::uint32_t>(
+            getInt("outliers", 10, UINT32_MAX));
     }
     // --shard-report implies telemetry; --host-telemetry[=0|1] sets it
     // directly (so a report-less run can still feed the stats-json

@@ -47,7 +47,8 @@
  *                          Chrome trace-event JSON (same format as
  *                          --trace-out, but only the ring tail)
  *     --blackbox=N         flight-recorder depth per component
- *                          (default 256; 0 disables the recorder)
+ *                          (default 256; 0 disables the recorder;
+ *                          at most 1048576)
  *     --watchdog-interval=N  hang-watchdog window in cycles
  *                          (default 100000; 0 disables the watchdog)
  *     --watchdog-storm=N   rollbacks per window that classify a hang
@@ -163,9 +164,13 @@ class Options
     /** Raw string value of an option ("" if absent). */
     std::string get(const std::string &name) const;
 
-    /** Integer value of an option (or @p fallback). */
-    std::uint64_t getInt(const std::string &name,
-                         std::uint64_t fallback) const;
+    /**
+     * Integer value of an option (or @p fallback).  The value must be
+     * decimal digits only and at most @p max; anything else -- a sign,
+     * trailing junk, a value the caller's type cannot hold -- is fatal.
+     */
+    std::uint64_t getInt(const std::string &name, std::uint64_t fallback,
+                         std::uint64_t max = UINT64_MAX) const;
 
     static void printUsage(const std::string &prog);
 

@@ -241,14 +241,14 @@ System::System(const SystemConfig &config, const isa::Program &prog)
         }
     }
 
-    // Span sinks follow the same rule (components cache ifEnabled()
-    // once).  Everything below -- the aux names, the "tailtrace" stat
-    // group -- exists only when tracing is on, so a tracing-off run's
-    // stats/trace documents are byte-identical to a build without the
-    // feature.
+    // Span sampling is a predicate on each shard's trace sink, set
+    // next to its mask and ring.  Everything below -- the aux names,
+    // the "tailtrace" stat group -- exists only when tracing is on, so
+    // a tracing-off run's stats/trace documents are byte-identical to
+    // a build without the feature.
     if (config_.tail_sample > 0) {
         for (auto &sctx : shard_ctx_)
-            sctx->spans.configure(config_.tail_sample);
+            sctx->tracer.configureSampling(config_.tail_sample);
         std::vector<std::string> stage_names;
         for (std::size_t s = 0; s < reqtrace::num_stages; ++s) {
             stage_names.emplace_back(reqtrace::stageName(
@@ -408,7 +408,7 @@ System::runShards()
         std::ostringstream os;
         os << "=== incident dump (panic) ===\n";
         writeArchState(os);
-        trace::writeBlackboxTailMerged(os, ctx_.tracer, allSinks());
+        trace::writeBlackboxTail(os, ctx_.tracer, allSinks());
         reportBlock(os.str());
     };
 
@@ -915,16 +915,16 @@ System::finalizeTailTrace()
         return;
     tail_finalized_ = true;
 
-    // Canonical merge: concatenate the per-shard event vectors in
-    // shard order; assembleSpans re-sorts by (req, tick) into an order
-    // that is a pure function of the simulated timing.
-    std::vector<reqtrace::SpanEvent> events;
-    for (const auto &sctx : shard_ctx_) {
-        const auto &ev = sctx->spans.events();
-        events.insert(events.end(), ev.begin(), ev.end());
-    }
-    tail_spans_ = reqtrace::assembleSpans(std::move(events),
-                                          config_.tail_sample);
+    // The ReqSpan records of every shard sink, in the canonical merge
+    // order; assembleSpans regroups them by (req, tick).  A span that
+    // reaches the first tick any sink dropped a record at is counted
+    // incomplete rather than tiled from what survived.
+    Tick lost_from = max_tick;
+    for (const auto &sctx : shard_ctx_)
+        lost_from = std::min(lost_from, sctx->tracer.lostFrom());
+    tail_spans_ = reqtrace::assembleSpans(
+        trace::mergeRecords(allSinks(), trace::Stream::Spans),
+        lost_from);
     tail_attr_ = reqtrace::attributeStages(tail_spans_);
 
     // Fill the "tailtrace" stat group on this (the main) thread, in
@@ -1147,24 +1147,14 @@ System::quiesced() const
 void
 System::exportTrace(std::ostream &os) const
 {
-    // Canonical merge, shard-count independent: bucket records per
-    // component (each component records into exactly one shard sink),
-    // concatenate in global component-id order, stable-sort by tick --
-    // the same rule the flight recorder uses (sim/blackbox.hh).
-    const std::size_t ncomps = ctx_.tracer.components().size();
-    std::vector<std::vector<trace::TraceRecord>> by_comp(ncomps);
+    // Canonical merge, shard-count independent (the same rule the
+    // flight recorder and the span assembly use).  Raw ReqSpan
+    // records stay out: the spans appear as the ReqStage slices below.
+    std::vector<trace::TraceRecord> records =
+        trace::mergeRecords(allSinks(), trace::Stream::Trace);
     std::uint64_t dropped = 0;
-    for (const auto &sctx : shard_ctx_) {
-        sctx->tracer.forEach([&](const trace::TraceRecord &r) {
-            by_comp[r.comp].push_back(r);
-        });
+    for (const auto &sctx : shard_ctx_)
         dropped += sctx->tracer.dropped();
-    }
-    std::vector<trace::TraceRecord> records;
-    for (auto &bucket : by_comp) {
-        records.insert(records.end(), bucket.begin(), bucket.end());
-        bucket.clear();
-    }
     // Synthesize ReqStage records from the assembled spans -- at
     // export time only, so a tracing-off dump carries no trace of the
     // feature and live recording pays nothing for it.  The spans are
@@ -1184,29 +1174,26 @@ System::exportTrace(std::ostream &os) const
                 records.push_back(r);
             }
         }
+        std::stable_sort(records.begin(), records.end(),
+                         [](const trace::TraceRecord &a,
+                            const trace::TraceRecord &b) {
+                             return a.tick < b.tick;
+                         });
     }
-    std::stable_sort(records.begin(), records.end(),
-                     [](const trace::TraceRecord &a,
-                        const trace::TraceRecord &b) {
-                         return a.tick < b.tick;
-                     });
-    ctx_.tracer.exportChromeJsonFor(os, records, dropped,
-                                    provenanceJson());
+    ctx_.tracer.exportChromeJson(os, records, dropped, provenanceJson());
 }
 
 void
 System::writeBlackbox(std::ostream &os) const
 {
-    trace::writeBlackboxJsonMerged(os, ctx_.tracer, allSinks(),
-                                   provenanceJson());
+    trace::writeBlackboxJson(os, ctx_.tracer, allSinks(), provenanceJson());
 }
 
 void
 System::writeBlackboxTail(std::ostream &os,
                           std::size_t per_component) const
 {
-    trace::writeBlackboxTailMerged(os, ctx_.tracer, allSinks(),
-                                   per_component);
+    trace::writeBlackboxTail(os, ctx_.tracer, allSinks(), per_component);
 }
 
 prof::Profile

@@ -42,6 +42,7 @@
 #include "mem/directory.hh"
 #include "mem/l1_cache.hh"
 #include "mem/network.hh"
+#include "sim/reqtrace.hh"
 #include "sim/sim_object.hh"
 #include "sim/waitgraph.hh"
 #include "sim/watchdog.hh"
@@ -128,7 +129,7 @@ struct SystemConfig
      * miss).  Sampling is a pure hash of the shard-invariant request
      * id, so the sampled set -- and every derived artifact -- is
      * byte-identical across --shards and host-parallel sweeps.  Off
-     * costs one cached-pointer null test per stage site.
+     * costs one sampling-period test per stage site.
      */
     std::uint64_t tail_sample = 0;
 

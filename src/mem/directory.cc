@@ -4,6 +4,7 @@
 
 #include "base/logging.hh"
 #include "base/trace.hh"
+#include "sim/reqtrace.hh"
 
 namespace fenceless::mem
 {
@@ -33,7 +34,6 @@ Directory::Directory(sim::SimContext &ctx, const std::string &name,
     : SimObject(ctx, name), params_(params), node_id_(node_id),
       num_cores_(num_cores), network_(network), backing_(backing),
       prof_(ctx.profiler.ifEnabled()),
-      rtrace_(ctx.spans.ifEnabled()),
       array_(params.size, params.assoc, params.block_size,
              bankIndexShift(params.banks)),
       stat_gets_(statGroup().addScalar("gets", "GetS transactions")),
@@ -103,13 +103,10 @@ Directory::dispatch(const Msg &msg)
     if (active_.count(msg.block_addr)) {
         pending_[msg.block_addr].push_back(QueuedReq{curTick(), msg});
         ++total_pending_;
-        if (rtrace_ && rtrace_->sampled(msg.req_id)) {
-            rtrace_->record(msg.req_id, curTick(),
-                            reqtrace::Stage::DirQueue, traceId(),
-                            msg.block_addr,
-                            static_cast<std::uint32_t>(
-                                pending_[msg.block_addr].size()));
-        }
+        FL_SPAN(*this, msg.req_id, reqtrace::Stage::DirQueue,
+                msg.block_addr,
+                static_cast<std::uint32_t>(
+                    pending_[msg.block_addr].size()));
         return;
     }
     startTxn(msg, curTick());
@@ -126,11 +123,8 @@ Directory::startTxn(const Msg &msg, Tick recv_tick)
     txn.req = msg;
     txn.phase = Txn::Phase::Start;
     txn.start_tick = curTick();
-    if (rtrace_ && rtrace_->sampled(msg.req_id)) {
-        rtrace_->record(msg.req_id, curTick(),
-                        reqtrace::Stage::DirAccess, traceId(),
-                        msg.block_addr);
-    }
+    FL_SPAN(*this, msg.req_id, reqtrace::Stage::DirAccess,
+            msg.block_addr);
     // Model the directory/tag access latency before processing.
     sim::scheduleOneShot(eventq(), curTick() + params_.latency,
                          [this, addr = msg.block_addr] {
@@ -224,11 +218,8 @@ Directory::processGetS(Txn &txn, L2Block &blk)
         ++stat_fwds_sent_;
         sendToL1(MsgType::FwdGetS, blk.owner, blk.block_addr);
         txn.phase = Txn::Phase::Fwd;
-        if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-            rtrace_->record(txn.req.req_id, curTick(),
-                            reqtrace::Stage::DirFwd, traceId(),
-                            blk.block_addr, blk.owner);
-        }
+        FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirFwd,
+                blk.block_addr, blk.owner);
         return;
     }
     if (blk.owner == requestor) {
@@ -267,11 +258,8 @@ Directory::processGetM(Txn &txn, L2Block &blk)
         ++stat_fwds_sent_;
         sendToL1(MsgType::FwdGetM, blk.owner, blk.block_addr);
         txn.phase = Txn::Phase::Fwd;
-        if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-            rtrace_->record(txn.req.req_id, curTick(),
-                            reqtrace::Stage::DirFwd, traceId(),
-                            blk.block_addr, blk.owner);
-        }
+        FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirFwd,
+                blk.block_addr, blk.owner);
         return;
     }
 
@@ -296,11 +284,8 @@ Directory::processGetM(Txn &txn, L2Block &blk)
     stat_invs_sent_ += count;
     txn.pending_acks = count;
     txn.phase = Txn::Phase::InvAcks;
-    if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-        rtrace_->record(txn.req.req_id, curTick(),
-                        reqtrace::Stage::DirInv, traceId(),
-                        blk.block_addr, count);
-    }
+    FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirInv,
+            blk.block_addr, count);
 }
 
 // ---------------------------------------------------------------------
@@ -468,14 +453,11 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
                      std::hex, block_addr, std::dec,
                      " - L2 too small for the transaction load");
             txn.phase = Txn::Phase::Blocked;
-            if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-                rtrace_->record(txn.req.req_id, curTick(),
-                                reqtrace::Stage::DirBlocked, traceId(),
-                                block_addr,
-                                static_cast<std::uint32_t>(
-                                    victim->block_addr >>
-                                    floorLog2(params_.block_size)));
-            }
+            FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::DirBlocked,
+                    block_addr,
+                    static_cast<std::uint32_t>(
+                        victim->block_addr >>
+                        floorLog2(params_.block_size)));
             startRecall(victim->block_addr, txn.req);
             return false;
         }
@@ -486,10 +468,7 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
 
     // Fetch the block from DRAM.
     txn.phase = Txn::Phase::Dram;
-    if (rtrace_ && rtrace_->sampled(txn.req.req_id)) {
-        rtrace_->record(txn.req.req_id, curTick(),
-                        reqtrace::Stage::Dram, traceId(), block_addr);
-    }
+    FL_SPAN(*this, txn.req.req_id, reqtrace::Stage::Dram, block_addr);
     ++stat_dram_reads_;
     ++txn.dram_reads;
     const Tick ready = std::max(curTick(), dram_next_free_)
@@ -608,10 +587,8 @@ void
 Directory::sendData(MsgType type, NodeId dst, const L2Block &blk,
                     std::uint64_t req_id)
 {
-    if (rtrace_ && rtrace_->sampled(req_id)) {
-        rtrace_->record(req_id, curTick(), reqtrace::Stage::ReplyNet,
-                        traceId(), blk.block_addr, dst);
-    }
+    FL_SPAN(*this, req_id, reqtrace::Stage::ReplyNet, blk.block_addr,
+            dst);
     sendToL1(type, dst, blk.block_addr, blk.data.data(), req_id);
 }
 

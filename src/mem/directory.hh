@@ -208,7 +208,6 @@ class Directory : public sim::SimObject, public MsgReceiver
     Network &network_;
     FlatMemory &backing_;
     prof::WasteProfiler *const prof_; //!< null when profiling is off
-    reqtrace::ReqTraceSink *const rtrace_; //!< null when spans are off
 
     CacheArray<L2Block> array_;
     std::map<Addr, Txn> active_;

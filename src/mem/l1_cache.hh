@@ -189,7 +189,6 @@ class L1Cache : public sim::SimObject, public MsgReceiver
         std::uint64_t req_id = 0;    //!< request-lifetime trace id
         Tick miss_start = 0;         //!< tick the miss was issued
         Tick fill_arrival = 0;       //!< tick the fill data arrived
-        bool traced = false;         //!< sampled by the span tracer
         std::uint64_t pc = 0;        //!< first waiting request's PC
     };
 
@@ -260,7 +259,6 @@ class L1Cache : public sim::SimObject, public MsgReceiver
     Network &network_;
     SpecHooks *spec_ = nullptr;
     prof::WasteProfiler *const prof_; //!< null when profiling is off
-    reqtrace::ReqTraceSink *const rtrace_; //!< null when spans are off
 
     CacheArray<L1Block> array_;
     std::map<Addr, Mshr> mshrs_;

@@ -7,16 +7,16 @@
  * the dump side: it merges the per-component rings into one totally
  * ordered record stream and writes it out two ways.
  *
- * Merge order is *canonical*, not capture order: records are gathered
- * per component (in global component-id order) and stable-sorted by
- * tick.  Per-component ring order is already tick-monotone, so the
- * result is a proper time merge in which same-tick records from
+ * Merge order is *canonical*, not capture order: the rings go through
+ * the same mergeRecords() (sim/trace_sink.hh) as the full trace and
+ * the span assembly -- a time merge in which same-tick records from
  * different components appear in component-id order.  That rule is
  * independent of how many host threads produced the records, which is
  * what makes a sharded run's `--blackbox-out` byte-identical to the
- * single-threaded reference: the multi-sink variants below gather each
- * component's ring from whichever shard sink owns it (component ids
- * are global across shard sinks) and apply the same rule.
+ * single-threaded reference: the dumps gather each component's ring
+ * from whichever shard sink owns it (component ids are global across
+ * shard sinks).  Span boundaries never enter a ring, so a dump is the
+ * same with span sampling on or off.
  *
  * The two output forms:
  *
@@ -61,48 +61,23 @@ inline constexpr std::uint32_t default_blackbox_flags =
     ~static_cast<std::uint32_t>(Flag::Host);
 
 /**
- * The flight-recorder contents as one canonically ordered stream (see
- * the file comment for the merge rule).
- */
-std::vector<TraceRecord> blackboxRecords(const TraceSink &sink);
-
-/**
- * Multi-sink form for sharded systems: each component's ring entries
- * are gathered from every sink in @p sinks (exactly one shard sink
- * records for any given component, so the union is the per-component
- * stream), then merged canonically.  @p meta names the components;
- * every sink must share its component-id space (the System guarantees
- * this by pre-registering the global component list into each sink).
- */
-std::vector<TraceRecord>
-blackboxRecordsMerged(const TraceSink &meta,
-                      const std::vector<const TraceSink *> &sinks);
-
-/**
- * Write the merged ring tail as a Chrome trace-event JSON document --
+ * Write the merged ring tail of @p sinks (a system's shard sinks; @p
+ * meta names the components) as a Chrome trace-event JSON document --
  * the same format as TraceSink::exportChromeJson, so the dump is a
  * valid `--trace-out` file.  @p provenance_json (may be empty) is
  * embedded as a top-level "provenance" key.
  */
-void writeBlackboxJson(std::ostream &os, const TraceSink &sink,
+void writeBlackboxJson(std::ostream &os, const TraceSink &meta,
+                       const std::vector<const TraceSink *> &sinks,
                        const std::string &provenance_json);
-
-/** Multi-sink form of writeBlackboxJson (sharded systems). */
-void writeBlackboxJsonMerged(std::ostream &os, const TraceSink &meta,
-                             const std::vector<const TraceSink *> &sinks,
-                             const std::string &provenance_json);
 
 /**
  * Write a human-readable tail: for each component, the last
  * @p per_component ring events with decoded arguments.  Used inside
  * stall dossiers and panic dumps.
  */
-void writeBlackboxTail(std::ostream &os, const TraceSink &sink,
+void writeBlackboxTail(std::ostream &os, const TraceSink &meta,
+                       const std::vector<const TraceSink *> &sinks,
                        std::size_t per_component = 8);
-
-/** Multi-sink form of writeBlackboxTail (sharded systems). */
-void writeBlackboxTailMerged(std::ostream &os, const TraceSink &meta,
-                             const std::vector<const TraceSink *> &sinks,
-                             std::size_t per_component = 8);
 
 } // namespace fenceless::trace

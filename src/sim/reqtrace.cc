@@ -44,19 +44,19 @@ Span::dominantStage() const
 }
 
 SpanSet
-assembleSpans(std::vector<SpanEvent> events, std::uint64_t period)
+assembleSpans(std::vector<trace::TraceRecord> records, Tick lost_from)
 {
     SpanSet out;
-    out.period = period;
 
     // Canonical order: group by request, then by time.  stable_sort
-    // preserves the per-shard append order inside a (req, tick) group,
-    // and such a group is always recorded by a single component (see
-    // the header comment), so the result is shard-count independent.
-    std::stable_sort(events.begin(), events.end(),
-                     [](const SpanEvent &a, const SpanEvent &b) {
-                         if (a.req_id != b.req_id)
-                             return a.req_id < b.req_id;
+    // preserves the merged order inside a (req, tick) group, and such
+    // a group is always recorded by a single component (see the
+    // header comment), so the result is shard-count independent.
+    std::stable_sort(records.begin(), records.end(),
+                     [](const trace::TraceRecord &a,
+                        const trace::TraceRecord &b) {
+                         if (a.a0 != b.a0)
+                             return a.a0 < b.a0;
                          return a.tick < b.tick;
                      });
 
@@ -65,14 +65,14 @@ assembleSpans(std::vector<SpanEvent> events, std::uint64_t period)
     // holding per-span stage vectors (finalize runs once per System,
     // but at --tail-sample=1 it is O(misses), so it shows up in
     // BM_FullSystemReqTrace).
-    out.spans.reserve(events.size() / 2);
+    out.spans.reserve(records.size() / 2);
 
-    std::vector<const SpanEvent *> waiters;
+    std::vector<const trace::TraceRecord *> waiters;
     std::size_t i = 0;
-    while (i < events.size()) {
-        const std::uint64_t req = events[i].req_id;
+    while (i < records.size()) {
+        const std::uint64_t req = records[i].a0;
         std::size_t end = i;
-        while (end < events.size() && events[end].req_id == req)
+        while (end < records.size() && records[end].a0 == req)
             ++end;
 
         // Split the group into the tiled primary path and the flagged
@@ -83,34 +83,37 @@ assembleSpans(std::vector<SpanEvent> events, std::uint64_t period)
         waiters.clear();
         bool complete = false;
         for (std::size_t j = i; j < end; ++j) {
-            const SpanEvent &ev = events[j];
-            if (ev.flags & span_flag_waiter) {
-                waiters.push_back(&ev);
+            const trace::TraceRecord &r = records[j];
+            const std::uint8_t flags = spanFlags(r);
+            if (flags & span_flag_waiter) {
+                waiters.push_back(&r);
                 continue;
             }
-            const auto stage = static_cast<Stage>(ev.stage);
+            const Stage stage = spanStage(r);
             if (span.stages.empty()) {
-                span.issue = ev.tick;
-                span.block = ev.a0;
-                span.pc = ev.aux;
+                span.issue = r.tick;
+                span.block = spanBlock(r);
+                span.pc = r.aux;
             }
             if (!span.stages.empty())
                 span.stages.back().cycles =
-                    ev.tick - span.stages.back().at;
+                    r.tick - span.stages.back().at;
             if (stage == Stage::Done) {
-                span.done = ev.tick;
-                span.waiters = ev.aux;
+                span.done = r.tick;
+                span.waiters = r.aux;
                 complete = true;
                 break;
             }
-            if (ev.flags & span_flag_retry)
+            if (flags & span_flag_retry)
                 ++span.retries;
-            span.stages.push_back(SpanStage{stage, ev.tick, 0, ev.node,
-                                            ev.aux, ev.flags});
+            span.stages.push_back(SpanStage{stage, r.tick, 0, r.comp,
+                                            r.aux, flags});
         }
         i = end;
 
-        if (!complete || span.stages.empty()) {
+        // A span reaching the first dropped tick may have lost any of
+        // its boundaries in some sink: never tile what is left.
+        if (!complete || span.stages.empty() || span.done >= lost_from) {
             ++out.incomplete;
             continue;
         }
@@ -122,7 +125,7 @@ assembleSpans(std::vector<SpanEvent> events, std::uint64_t period)
         // fields: push_back below may reallocate the vector.)
         const Tick pdone = out.spans.back().done;
         const Addr pblock = out.spans.back().block;
-        for (const SpanEvent *w : waiters) {
+        for (const trace::TraceRecord *w : waiters) {
             if (w->tick > pdone)
                 continue; // queued after the fill; defensive
             Span ws;
@@ -133,8 +136,8 @@ assembleSpans(std::vector<SpanEvent> events, std::uint64_t period)
             ws.pc = w->aux;
             ws.waiter = true;
             ws.stages.push_back(SpanStage{Stage::L1Queue, w->tick,
-                                          pdone - w->tick,
-                                          w->node, 0, w->flags});
+                                          pdone - w->tick, w->comp, 0,
+                                          spanFlags(*w)});
             out.spans.push_back(std::move(ws));
         }
     }

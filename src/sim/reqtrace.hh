@@ -35,20 +35,20 @@
  * a pure function of the request id: ids are minted per L1 as
  * (node+1)<<40 | local-miss-sequence (shard-invariant by construction,
  * see L1Cache::handleMiss), and a request is sampled iff a splitmix64
- * hash of its id falls in the configured 1-in-N slice.  Every
- * component -- L1, directory bank, network -- can re-derive the
- * decision statelessly from msg.req_id.
+ * hash of its id falls in the configured 1-in-N slice
+ * (trace::TraceSink::sampled).  Every component -- L1, directory bank,
+ * network -- can re-derive the decision statelessly from msg.req_id.
  *
- * Ownership and threading mirror trace::TraceSink / prof::WasteProfiler:
- * one sink per SimContext, driven by that context's single host
- * thread, so sharded simulations need no locking.  Disabled cost is
- * one cached-pointer null test per stage site.  Span assembly happens
- * once, after the run, on the main thread: per-shard event vectors are
- * concatenated in shard order and stable-sorted by (req_id, tick),
- * which is order-independent across shard counts because any two
- * same-request events at the same tick are recorded by the same
- * component (cross-component transitions ride the network, whose
- * minimum delay is one cycle).
+ * Recording: a boundary is one EventKind::ReqSpan record in the owning
+ * SimContext's TraceSink (FL_SPAN below; spanRecord() is the
+ * encoding), under that sink's ownership, threading and record cap.
+ * Span assembly runs once, after the run, on the main thread, over
+ * trace::mergeRecords(Stream::Spans) stable-sorted by (req_id, tick):
+ * order-independent across shard counts because any two same-request
+ * events at the same tick are recorded by the same component
+ * (cross-component transitions ride the network, whose minimum delay
+ * is one cycle).  A boundary the cap dropped makes its span
+ * incomplete, never a made-up one.
  */
 
 #pragma once
@@ -57,7 +57,9 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
+#include "sim/trace_sink.hh"
 
 namespace fenceless::reqtrace
 {
@@ -89,91 +91,77 @@ const char *stageName(Stage s);
 constexpr std::uint8_t span_flag_retry = 1;  //!< re-request after a yank
 constexpr std::uint8_t span_flag_waiter = 2; //!< coalesced MSHR waiter
 
-/**
- * One stage-boundary record (32 bytes).  `node` is the recording
- * component's trace id (so exports can target the existing per-
- * component tracks); `a0` carries the block address (ReqNet/Done) and
- * `aux` stage-specific detail (issuing PC for ReqNet, queue depth for
- * DirQueue, ack fan-out for DirInv, waiter count for Done).
+/*
+ * The ReqSpan encoding.  One boundary fills one 32-byte TraceRecord:
+ *
+ *     tick  the boundary tick
+ *     a0    req_id
+ *     a1    block (bits 0..55) | stage (56..59) | flags (60..63)
+ *     comp  the recording component's trace id (so exports can target
+ *           the existing per-component tracks)
+ *     aux   stage-specific detail (issuing PC for ReqNet and waiters,
+ *           queue depth for DirQueue, owner for DirFwd, ack fan-out
+ *           for DirInv, waiter count for Done)
  */
-struct SpanEvent
-{
-    std::uint64_t req_id;
-    Tick tick;
-    std::uint64_t a0;
-    std::uint16_t node;
-    std::uint8_t stage;
-    std::uint8_t flags;
-    std::uint32_t aux;
-};
+constexpr unsigned span_block_bits = 56;
+constexpr unsigned span_stage_bits = 4;
+static_assert(num_stages <= (1u << span_stage_bits),
+              "every stage must fit the ReqSpan stage field");
 
-/** splitmix64 finalizer: the sampling hash (pure, stateless). */
-constexpr std::uint64_t
-mixReqId(std::uint64_t x)
+/**
+ * Encode one stage boundary.  Panics rather than truncate when the
+ * block or the flags do not fit their fields.
+ */
+inline trace::TraceRecord
+spanRecord(std::uint64_t req_id, Tick tick, Stage stage,
+           std::uint16_t node, Addr block, std::uint32_t aux = 0,
+           std::uint8_t flags = 0)
 {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
+    flAssert((block >> span_block_bits) == 0 &&
+                 (flags >> (64 - span_block_bits - span_stage_bits)) == 0,
+             "span boundary does not fit a ReqSpan record: block 0x",
+             std::hex, block, " flags 0x", unsigned{flags});
+    const std::uint64_t a1 =
+        block |
+        static_cast<std::uint64_t>(stage) << span_block_bits |
+        static_cast<std::uint64_t>(flags)
+            << (span_block_bits + span_stage_bits);
+    return trace::TraceRecord{
+        tick, req_id, a1, node,
+        static_cast<std::uint16_t>(trace::EventKind::ReqSpan), aux};
 }
 
-/**
- * Per-SimContext span sink.  configure() before components construct
- * (they cache ifEnabled() once, like the profiler); record() is the
- * hot path behind that cached pointer.
- */
-class ReqTraceSink
+inline Addr
+spanBlock(const trace::TraceRecord &r)
 {
-  public:
-    /** Enable with 1-in-@p period sampling (0 disables, 1 = all). */
-    void
-    configure(std::uint64_t period)
-    {
-        period_ = period;
-        // 1-in-N as a threshold compare on the hash, not a modulo: the
-        // predicate runs at every record site of every miss, and a
-        // 64-bit divide there is the difference between noise and a
-        // measurable overhead (BM_FullSystemReqTrace/64).
-        threshold_ = period ? ~0ULL / period : 0;
-        events_.clear();
-    }
+    return r.a1 & ((1ULL << span_block_bits) - 1);
+}
 
-    bool enabled() const { return period_ != 0; }
-    std::uint64_t period() const { return period_; }
+inline Stage
+spanStage(const trace::TraceRecord &r)
+{
+    return static_cast<Stage>((r.a1 >> span_block_bits) &
+                              ((1u << span_stage_bits) - 1));
+}
 
-    /** Cached by components; null when span tracing is off. */
-    ReqTraceSink *ifEnabled() { return enabled() ? this : nullptr; }
+inline std::uint8_t
+spanFlags(const trace::TraceRecord &r)
+{
+    return static_cast<std::uint8_t>(
+        r.a1 >> (span_block_bits + span_stage_bits));
+}
 
-    /**
-     * Pure sampling predicate: true iff @p req_id is traced.  Id 0
-     * (control traffic: Puts, WbClean, probes) is never traced, and a
-     * disabled sink samples nothing.
-     */
-    bool
-    sampled(std::uint64_t req_id) const
-    {
-        if (req_id == 0 || period_ == 0)
-            return false;
-        return mixReqId(req_id) <= threshold_;
-    }
-
-    void
-    record(std::uint64_t req_id, Tick tick, Stage stage,
-           std::uint16_t node, std::uint64_t a0 = 0,
+/** Encode one boundary and append it to @p sink. */
+inline void
+recordSpan(trace::TraceSink &sink, std::uint16_t node, Tick tick,
+           std::uint64_t req_id, Stage stage, Addr block,
            std::uint32_t aux = 0, std::uint8_t flags = 0)
-    {
-        events_.push_back(SpanEvent{req_id, tick, a0, node,
-                                    static_cast<std::uint8_t>(stage),
-                                    flags, aux});
-    }
-
-    const std::vector<SpanEvent> &events() const { return events_; }
-
-  private:
-    std::uint64_t period_ = 0;
-    std::uint64_t threshold_ = 0; //!< sample iff mixReqId(id) <= this
-    std::vector<SpanEvent> events_;
-};
+{
+    const trace::TraceRecord r =
+        spanRecord(req_id, tick, stage, node, block, aux, flags);
+    sink.record(r.comp, trace::EventKind::ReqSpan, r.tick, r.a0, r.a1,
+                r.aux);
+}
 
 // ---------------------------------------------------------------------
 // post-run span assembly (main thread)
@@ -226,18 +214,19 @@ struct Span
 /** Every complete span of a run, in canonical order. */
 struct SpanSet
 {
-    std::uint64_t period = 0;     //!< sampling period used
-    std::uint64_t incomplete = 0; //!< sampled spans cut off at run end
+    std::uint64_t incomplete = 0; //!< cut off by run end or record cap
     std::vector<Span> spans;      //!< (req_id asc, primary before waiters)
 };
 
 /**
- * Assemble raw events (per-shard vectors concatenated in shard order)
- * into complete spans.  Deterministic for any shard count: see the
- * file comment for the ordering argument.
+ * Assemble ReqSpan records (the canonical merge of every sink) into
+ * complete spans.  Deterministic for any shard count: see the file
+ * comment for the ordering argument.  A span that reaches
+ * @p lost_from -- the first tick any sink dropped a record at -- may
+ * be missing boundaries and is counted as incomplete.
  */
-SpanSet assembleSpans(std::vector<SpanEvent> events,
-                      std::uint64_t period);
+SpanSet assembleSpans(std::vector<trace::TraceRecord> records,
+                      Tick lost_from = max_tick);
 
 /** One row of the stage-attribution table. */
 struct StageRow
@@ -279,3 +268,18 @@ std::vector<const Span *> topK(const SpanSet &set, std::size_t k);
 Tick nearestRank(const std::vector<Tick> &sorted, double q);
 
 } // namespace fenceless::reqtrace
+
+/**
+ * Record a request-span boundary of @p req_id in @p obj's trace sink
+ * (@p obj provides tracer(), traceId() and curTick(), as for
+ * FL_TEVENT).  The arguments after @p req_id are not evaluated
+ * unless the request is sampled.
+ */
+#define FL_SPAN(obj, req_id, stage, block, ...)                        \
+    do {                                                               \
+        if ((obj).tracer().sampled(req_id)) {                          \
+            fenceless::reqtrace::recordSpan(                           \
+                (obj).tracer(), (obj).traceId(), (obj).curTick(),      \
+                req_id, stage, block, ##__VA_ARGS__);                  \
+        }                                                              \
+    } while (0)

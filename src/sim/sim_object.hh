@@ -12,7 +12,6 @@
 #include "base/types.hh"
 #include "sim/eventq.hh"
 #include "sim/profiler.hh"
-#include "sim/reqtrace.hh"
 #include "sim/trace_sink.hh"
 
 namespace fenceless::sim
@@ -20,8 +19,9 @@ namespace fenceless::sim
 
 /**
  * Shared state every component needs: the event queue, the stat
- * registry, the structured trace sink, and the waste-attribution
- * profiler.  Owned by the System (harness); passed by reference to all
+ * registry, the structured trace sink (which also takes the sampled
+ * request-span boundaries), and the waste-attribution profiler.
+ * Owned by the System (harness); passed by reference to all
  * SimObjects.  One context == one *shard* of one simulated system ==
  * one host thread, so the queue, sink and profiler need no locking
  * even when a SweepRunner drives many systems in parallel or a sharded
@@ -57,7 +57,6 @@ struct SimContext
     statistics::StatRegistry &stats;
     trace::TraceSink tracer;
     prof::WasteProfiler profiler;
-    reqtrace::ReqTraceSink spans;
 
     Tick curTick() const { return eventq.curTick(); }
 };

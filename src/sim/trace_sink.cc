@@ -1,8 +1,8 @@
 #include "sim/trace_sink.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <utility>
@@ -29,6 +29,7 @@ eventKindName(EventKind k)
       case EventKind::HostPhase: return "host_phase";
       case EventKind::HostCoord: return "host_coord";
       case EventKind::ReqStage: return "req_stage";
+      case EventKind::ReqSpan: return "req_span";
       case EventKind::NumKinds: break;
     }
     return "?";
@@ -70,16 +71,18 @@ void
 TraceSink::configureRing(std::size_t records_per_comp,
                          std::uint32_t flags)
 {
+    flags &= ~span_bit; // span boundaries never enter the ring
     if (records_per_comp == 0 || flags == 0) {
         ring_flags_ = 0;
         ring_capacity_ = 0;
         ring_.clear();
         return;
     }
-    std::size_t cap = 1;
-    while (cap < records_per_comp)
-        cap <<= 1;
-    ring_capacity_ = cap;
+    // The bound keeps the round-up below from overflowing.
+    flAssert(records_per_comp <= max_ring_records,
+             "flight-recorder ring of ", records_per_comp,
+             " records per component exceeds ", max_ring_records);
+    ring_capacity_ = std::bit_ceil(records_per_comp);
     ring_flags_ = flags;
     ring_.assign(components_.size() * ring_capacity_, RingEntry{});
     std::fill(ring_heads_.begin(), ring_heads_.end(), 0);
@@ -118,6 +121,40 @@ TraceSink::clear()
     chunks_.clear();
     size_ = 0;
     dropped_ = 0;
+    lost_from_ = max_tick;
+}
+
+std::vector<TraceRecord>
+mergeRecords(const std::vector<const TraceSink *> &sinks, Stream stream)
+{
+    const auto span = static_cast<std::uint16_t>(EventKind::ReqSpan);
+    std::vector<TraceRecord> out;
+    for (const TraceSink *s : sinks) {
+        if (stream == Stream::Ring) {
+            for (std::size_t c = 0; c < s->components().size(); ++c) {
+                s->forEachRingEntry(
+                    static_cast<std::uint16_t>(c),
+                    [&](const RingEntry &e) { out.push_back(e.rec); });
+            }
+            continue;
+        }
+        const bool want_spans = stream == Stream::Spans;
+        s->forEach([&](const TraceRecord &r) {
+            if ((r.kind == span) == want_spans)
+                out.push_back(r);
+        });
+    }
+    // Sink order, then a stable (tick, component) sort: a component's
+    // records all come from one sink, already in time order, so equal
+    // keys keep that order and the result is a pure function of the
+    // simulated timing.
+    std::stable_sort(out.begin(), out.end(),
+                     [](const TraceRecord &a, const TraceRecord &b) {
+                         if (a.tick != b.tick)
+                             return a.tick < b.tick;
+                         return a.comp < b.comp;
+                     });
+    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -154,18 +191,13 @@ writeCommon(std::ostream &os, const char *name, const char *ph,
        << "\", \"ts\": " << ts << ", \"pid\": 0, \"tid\": " << tid;
 }
 
-using RecordVisitor = std::function<void(const TraceRecord &)>;
+} // namespace
 
-/**
- * The exporter body, parameterised over the record source so the full
- * chunked trace and the merged flight-recorder rings share one format
- * (a blackbox dump is a valid --trace-out file).
- */
 void
-writeChromeJson(std::ostream &os, const TraceSink &sink,
-                const std::function<void(const RecordVisitor &)> &each,
-                std::uint64_t dropped,
-                const std::string &provenance_json)
+TraceSink::exportChromeJson(std::ostream &os,
+                            const std::vector<TraceRecord> &records,
+                            std::uint64_t dropped,
+                            const std::string &provenance_json) const
 {
     if (!provenance_json.empty())
         os << "{\"provenance\": " << provenance_json
@@ -177,10 +209,10 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
     // Track names.  One Chrome "thread" per simulated component.
     w.next() << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0"
              << ", \"args\": {\"name\": \"fenceless\"}}";
-    for (std::size_t i = 0; i < sink.components().size(); ++i) {
+    for (std::size_t i = 0; i < components_.size(); ++i) {
         w.next() << "{\"name\": \"thread_name\", \"ph\": \"M\", "
                  << "\"pid\": 0, \"tid\": " << i
-                 << ", \"args\": {\"name\": \"" << sink.components()[i]
+                 << ", \"args\": {\"name\": \"" << components_[i]
                  << "\"}}";
     }
     if (dropped) {
@@ -201,12 +233,12 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
     std::map<std::pair<std::uint16_t, Tick>,
              std::vector<const TraceRecord *>> host_quanta;
 
-    // Sampled request-span stages (synthesized from the reqtrace
-    // sinks) are grouped per request so each span renders as a chain
-    // of stage slices connected by its own flow track.
+    // Assembled request-span stages (synthesized from the spans) are
+    // grouped per request so each span renders as a chain of stage
+    // slices connected by its own flow track.
     std::map<std::uint64_t, std::vector<const TraceRecord *>> spans;
 
-    each([&](const TraceRecord &r) {
+    for (const TraceRecord &r : records) {
         const auto kind = static_cast<EventKind>(r.kind);
         const char *name = eventKindName(kind);
         switch (kind) {
@@ -225,7 +257,7 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
             const Tick dur = r.tick > r.a0 ? r.tick - r.a0 : 1;
             writeCommon(w.next(), name, "X", r.a0, r.comp);
             os << ", \"dur\": " << dur << ", \"args\": {\"reason\": \""
-               << sink.auxName(kind, r.aux) << "\"}}";
+               << auxName(kind, r.aux) << "\"}}";
             break;
           }
 
@@ -242,7 +274,7 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
           case EventKind::SpecRollback:
             writeCommon(w.next(), name, "i", r.tick, r.comp);
             os << ", \"s\": \"t\", \"args\": {\"cause\": \""
-               << sink.auxName(kind, r.aux) << "\", \"discarded_insts\": "
+               << auxName(kind, r.aux) << "\", \"discarded_insts\": "
                << r.a1 << "}}";
             break;
 
@@ -250,7 +282,7 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
             writeCommon(w.next(), name, "i", r.tick, r.comp);
             os << ", \"s\": \"t\", \"args\": {\"req\": " << r.a0
                << ", \"latency\": " << r.a1 << ", \"msg\": \""
-               << sink.auxName(kind, r.aux) << "\"}}";
+               << auxName(kind, r.aux) << "\"}}";
             break;
 
           case EventKind::ReqIssue:
@@ -274,14 +306,15 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
           case EventKind::HostCoord:
             writeCommon(w.next(), name, "i", r.tick, r.comp);
             os << ", \"s\": \"t\", \"args\": {\"ns\": " << r.a1
-               << ", \"cause\": \"" << sink.auxName(kind, r.aux)
+               << ", \"cause\": \"" << auxName(kind, r.aux)
                << "\"}}";
             break;
 
-          case EventKind::NumKinds:
-            break;
+          case EventKind::ReqSpan:   // raw span boundaries: assembled
+          case EventKind::NumKinds:  // into ReqStage slices, never
+            break;                   // written as they are
         }
-    });
+    }
 
     // Lay each quantum's host phases end to end inside [start, end),
     // sized proportionally to their wall-clock share.  Fractional ticks
@@ -361,7 +394,7 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
         for (std::size_t i = 0; i < stages.size(); ++i) {
             const TraceRecord &r = *stages[i];
             const std::string &sname =
-                sink.auxName(EventKind::ReqStage, r.aux);
+                auxName(EventKind::ReqStage, r.aux);
             writeCommon(w.next(),
                         sname.empty() ? "req_stage" : sname.c_str(),
                         "X", r.tick, r.comp);
@@ -382,32 +415,6 @@ writeChromeJson(std::ostream &os, const TraceSink &sink,
     }
 
     os << "\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n";
-}
-
-} // namespace
-
-void
-TraceSink::exportChromeJson(std::ostream &os,
-                            const std::string &provenance_json) const
-{
-    writeChromeJson(
-        os, *this, [this](const RecordVisitor &fn) { forEach(fn); },
-        dropped_, provenance_json);
-}
-
-void
-TraceSink::exportChromeJsonFor(std::ostream &os,
-                               const std::vector<TraceRecord> &records,
-                               std::uint64_t dropped,
-                               const std::string &provenance_json) const
-{
-    writeChromeJson(
-        os, *this,
-        [&records](const RecordVisitor &fn) {
-            for (const TraceRecord &r : records)
-                fn(r);
-        },
-        dropped, provenance_json);
 }
 
 } // namespace fenceless::trace

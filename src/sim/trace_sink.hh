@@ -13,14 +13,19 @@
  * events following one memory request from L1 miss through the
  * directory back to the fill.
  *
+ * The sink is the one recording substrate of a simulation: it also
+ * keeps the flight-recorder ring (sim/blackbox.hh) and the sampled
+ * request-span boundaries (EventKind::ReqSpan, see sim/reqtrace.hh),
+ * which share the record cap but never enter the ring or the raw
+ * Chrome export.
+ *
  * Concurrency / cost model:
  *  - One sink per sim::SimContext -- i.e. per shard of a simulated
  *    system -- and a shard runs on exactly one host thread, so the hot
  *    path is a plain bounds-checked append: no locks, no atomics, safe
  *    under `SweepRunner --jobs=N` and under sharded (`--shards=N`)
  *    execution because sinks share nothing.  Sharded Systems merge the
- *    per-shard streams deterministically at dump time (sim/blackbox.hh,
- *    harness::System::exportTrace).
+ *    per-shard streams with mergeRecords().
  *  - Disabled tracing costs one inline mask test (the FL_TEVENT macro
  *    mirrors FL_TRACE's guard); nothing is evaluated or stored.
  *  - Recording is capped (default 4M events, ~128 MiB) so a runaway
@@ -72,10 +77,15 @@ enum class EventKind : std::uint16_t
                   //!< a1 = phase ns, aux = HostPhaseKind
     HostCoord,    //!< instant: coordinator step at a quantum boundary;
                   //!< a1 = step ns, aux = boundary cause id
-    // Sampled request spans (Flag::Req).  Synthesized at export time
-    // from the reqtrace span sinks, never recorded live: one slice per
-    // tiled stage, chained with flow arrows under the guest tracks.
+    // Assembled request-span stages (Flag::Req).  Synthesized at export
+    // time from the spans assembled out of ReqSpan records, never
+    // recorded live: one slice per tiled stage, chained with flow
+    // arrows under the guest tracks.
     ReqStage,     //!< duration: a0 = req id, a1 = cycles, aux = stage
+    // Sampled request-span boundary (Flag::Span, set by span sampling
+    // alone).  Never in the ring, never exported raw; the encoding of
+    // a1 is reqtrace::spanRecord's.
+    ReqSpan,      //!< a0 = req id, a1 = block|stage|flags, aux = detail
     NumKinds,
 };
 
@@ -104,6 +114,7 @@ eventKindFlag(EventKind k)
       case EventKind::HostPhase:
       case EventKind::HostCoord: return Flag::Host;
       case EventKind::ReqStage: return Flag::Req;
+      case EventKind::ReqSpan: return Flag::Span;
       case EventKind::NumKinds: break;
     }
     return Flag::All;
@@ -122,6 +133,16 @@ struct TraceRecord
 
 static_assert(sizeof(TraceRecord) == 32, "keep trace records compact");
 
+/** splitmix64 finalizer: the span-sampling hash (pure, stateless). */
+constexpr std::uint64_t
+mixReqId(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /**
  * One flight-recorder ring slot: the record plus a global push sequence
  * number, so the per-component rings merge into one totally ordered
@@ -138,6 +159,8 @@ class TraceSink
   public:
     static constexpr std::size_t chunk_records = 1u << 16;
     static constexpr std::size_t default_cap = 4u << 20;
+    /** Largest flight-recorder ring, in records per component. */
+    static constexpr std::size_t max_ring_records = 1u << 20;
 
     explicit TraceSink(std::size_t max_records = default_cap)
         : max_records_(max_records)
@@ -148,9 +171,15 @@ class TraceSink
 
     // --- configuration ---------------------------------------------------
 
-    /** Enable recording for the given Flag mask (0 = off, the default). */
-    void setMask(std::uint32_t mask) { mask_ = mask; }
-    std::uint32_t mask() const { return mask_; }
+    /**
+     * Enable recording for the given Flag mask (0 = off, the default).
+     * The Flag::Span bit is left to configureSampling.
+     */
+    void
+    setMask(std::uint32_t mask)
+    {
+        mask_ = (mask & ~span_bit) | (mask_ & span_bit);
+    }
 
     /** @return true if any structured tracing is enabled. */
     bool enabled() const { return mask_ != 0; }
@@ -160,8 +189,9 @@ class TraceSink
      * events (flag-filtered by @p flags) of every component are kept in
      * a fixed ring and survive until dumped -- the incident evidence
      * for stall dossiers and panic dumps (see sim/blackbox.hh).  The
-     * capacity is rounded up to a power of two; 0 disables the ring.
-     * Safe to call before or after components register.
+     * capacity is rounded up to a power of two (at most
+     * max_ring_records); 0 disables the ring.  Flag::Span is never
+     * ringed.  Safe to call before or after components register.
      */
     void configureRing(std::size_t records_per_comp, std::uint32_t flags);
 
@@ -177,6 +207,33 @@ class TraceSink
     {
         return ((mask_ | ring_flags_) &
                 static_cast<std::uint32_t>(f)) != 0;
+    }
+
+    /** Sample request spans 1-in-@p period (0 = off, 1 = all). */
+    void
+    configureSampling(std::uint64_t period)
+    {
+        period_ = period;
+        // 1-in-N as a threshold compare on the hash, not a modulo: the
+        // predicate runs at every span site of every miss, and a
+        // 64-bit divide there is the difference between noise and a
+        // measurable overhead (BM_FullSystemReqTrace/64).
+        threshold_ = period ? ~0ULL / period : 0;
+        mask_ = period ? mask_ | span_bit : mask_ & ~span_bit;
+    }
+
+    std::uint64_t samplePeriod() const { return period_; }
+
+    /**
+     * Pure sampling predicate: true iff @p req_id is traced.  Id 0
+     * (control traffic: Puts, WbClean, probes) is never traced.
+     */
+    bool
+    sampled(std::uint64_t req_id) const
+    {
+        if (period_ == 0 || req_id == 0)
+            return false;
+        return mixReqId(req_id) <= threshold_;
     }
 
     // --- component / request identity ------------------------------------
@@ -216,10 +273,11 @@ class TraceSink
     // --- recording (hot path) --------------------------------------------
 
     /**
-     * Append one event.  Call through FL_TEVENT, not directly.  The
-     * event goes to the flight-recorder ring, the full chunked trace,
-     * or both, depending on which mask wants its kind: wants() gates on
-     * the union, so this re-checks each destination.
+     * Append one event.  Call through FL_TEVENT (FL_SPAN for ReqSpan),
+     * not directly.  The event goes to the flight-recorder ring, the
+     * full chunked trace, or both, depending on which mask wants its
+     * kind: wants() gates on the union, so this re-checks each
+     * destination.
      */
     void
     record(std::uint16_t comp, EventKind kind, Tick tick,
@@ -242,14 +300,11 @@ class TraceSink
             ++head;
         }
         // The full chunked trace takes the kinds the mask asks for.
-        // An entirely unconfigured sink (no mask, no ring) keeps the
-        // legacy behaviour of storing every direct record() call:
-        // wants() is false for everything then, so FL_TEVENT never
-        // gets here and only explicit callers (tests, tools) do.
-        if (!(mask_ & bit) && (mask_ | ring_flags_) != 0)
+        if (!(mask_ & bit))
             return;
         if (size_ >= max_records_) {
-            ++dropped_;
+            if (dropped_++ == 0)
+                lost_from_ = tick;
             return;
         }
         if (chunks_.empty() || chunks_.back().size() == chunk_records)
@@ -264,6 +319,13 @@ class TraceSink
 
     std::size_t size() const { return size_; }
     std::uint64_t dropped() const { return dropped_; }
+
+    /**
+     * Tick of the first record the cap dropped (max_tick if none).
+     * Records arrive in time order and the cap never reopens, so no
+     * record before this tick is missing.
+     */
+    Tick lostFrom() const { return lost_from_; }
 
     /** Visit every record in recording order. */
     template <typename Fn>
@@ -298,33 +360,30 @@ class TraceSink
     void clear();
 
     /**
-     * Write everything as a Chrome trace-event JSON object
-     * (`{"traceEvents": [...]}`), loadable by chrome://tracing and
-     * ui.perfetto.dev.  Ticks are exported as microseconds 1:1.  A
-     * non-empty @p provenance_json (see base/provenance.hh) is embedded
-     * as a top-level "provenance" key.
+     * Write @p records -- e.g. a mergeRecords() stream -- as a Chrome
+     * trace-event JSON object (`{"traceEvents": [...]}`), loadable by
+     * chrome://tracing and ui.perfetto.dev, naming components and aux
+     * payloads from this sink's registrations.  Ticks are exported as
+     * microseconds 1:1.  A non-empty @p provenance_json (see
+     * base/provenance.hh) is embedded as a top-level "provenance" key.
      */
     void exportChromeJson(std::ostream &os,
+                          const std::vector<TraceRecord> &records,
+                          std::uint64_t dropped,
                           const std::string &provenance_json = "") const;
 
-    /**
-     * Export an arbitrary record sequence -- e.g. the merged flight-
-     * recorder rings -- in the same Chrome trace-event format, using
-     * this sink's component and aux-name registrations for identity.
-     */
-    void
-    exportChromeJsonFor(std::ostream &os,
-                        const std::vector<TraceRecord> &records,
-                        std::uint64_t dropped,
-                        const std::string &provenance_json) const;
-
   private:
+    static constexpr auto span_bit = static_cast<std::uint32_t>(Flag::Span);
+
     void addChunk();
 
     std::uint32_t mask_ = 0;
     std::size_t max_records_;
     std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
+    Tick lost_from_ = max_tick;
+    std::uint64_t period_ = 0;    //!< span sampling 1-in-N (0 = off)
+    std::uint64_t threshold_ = 0; //!< sample iff mixReqId(id) <= this
     std::vector<std::vector<TraceRecord>> chunks_;
     std::vector<std::string> components_;
     std::vector<std::vector<std::string>> aux_names_;
@@ -337,6 +396,23 @@ class TraceSink
     std::vector<RingEntry> ring_;
     std::vector<std::uint64_t> ring_heads_;
 };
+
+/** Which per-sink record stream mergeRecords() reads. */
+enum class Stream
+{
+    Trace, //!< the chunked store, ReqSpan records excluded
+    Spans, //!< the chunked store's ReqSpan records only
+    Ring,  //!< the flight-recorder rings
+};
+
+/**
+ * The canonical merge of a system's shard sinks: every record of
+ * @p stream, stable-sorted by (tick, component id).  Each component
+ * records into one sink in time order, so the result is independent
+ * of the shard count.  The sinks share one component-id space.
+ */
+std::vector<TraceRecord>
+mergeRecords(const std::vector<const TraceSink *> &sinks, Stream stream);
 
 } // namespace fenceless::trace
 

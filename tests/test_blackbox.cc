@@ -355,7 +355,8 @@ TEST(Blackbox, RingWrapsAndDumpIsValidTrace)
     EXPECT_NE(json.find("\"git\""), std::string::npos);
 
     // Ring entries replay oldest -> newest with monotone sequence.
-    const auto records = trace::blackboxRecords(sink);
+    const auto records =
+        trace::mergeRecords({&sink}, trace::Stream::Ring);
     EXPECT_FALSE(records.empty());
 }
 
@@ -369,7 +370,8 @@ TEST(Blackbox, DisabledRingRecordsNothing)
     harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());
     EXPECT_EQ(sys.tracer().ringPushes(), 0u);
-    EXPECT_TRUE(trace::blackboxRecords(sys.tracer()).empty());
+    EXPECT_TRUE(trace::mergeRecords({&sys.tracer()}, trace::Stream::Ring)
+                    .empty());
 }
 
 TEST(Blackbox, RecorderDoesNotChangeSimulation)

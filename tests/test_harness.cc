@@ -182,6 +182,35 @@ TEST(Options, BadNumberIsFatal)
 {
     EXPECT_EXIT(parse({"--cores=banana"}).applyTo(SystemConfig{}),
                 testing::ExitedWithCode(1), "expects a number");
+    // A sign (which would wrap) and trailing junk (which would be cut
+    // off) are refused, not read as the number in front of them.
+    for (const char *arg : {"--cores=4abc", "--cores=-1", "--cores= 4",
+                            "--tail-sample=-1", "--tail-sample=64x",
+                            "--blackbox=-1", "--seed=-3", "--jobs=2x"}) {
+        EXPECT_EXIT(parse({arg}).applyTo(SystemConfig{}),
+                    testing::ExitedWithCode(1),
+                    "fatal: option --.* expects a number")
+            << arg;
+    }
+    // So are values the target field cannot hold: --cores=4294967300
+    // would otherwise run 4 cores, and a huge --blackbox would ask the
+    // ring round-up for more than it can size.
+    for (const char *arg : {"--cores=4294967300", "--outliers=4294967296",
+                            "--blackbox=1048577",
+                            "--blackbox=18446744073709551615",
+                            "--blackbox=18446744073709551616",
+                            "--l1-kb=18014398509481984"}) {
+        EXPECT_EXIT(parse({arg}).applyTo(SystemConfig{}),
+                    testing::ExitedWithCode(1),
+                    "fatal: option --.* is out of range")
+            << arg;
+    }
+    // The largest values the fields hold are still accepted.
+    const SystemConfig cfg =
+        parse({"--cores=4294967295", "--blackbox=1048576"})
+            .applyTo(SystemConfig{});
+    EXPECT_EQ(cfg.num_cores, 4294967295u);
+    EXPECT_EQ(cfg.blackbox_records, 1048576u);
 }
 
 TEST(Table, AlignedRendering)

@@ -97,6 +97,10 @@ TEST(TraceSink, DisabledByDefaultAndMaskGates)
     trace::TraceSink sink;
     EXPECT_FALSE(sink.enabled());
     EXPECT_FALSE(sink.wants(trace::Flag::Spec));
+    // A record reaches the store only when the mask asks for its kind.
+    sink.record(sink.registerComponent("c0"), trace::EventKind::SpecEpoch,
+                1);
+    EXPECT_EQ(sink.size(), 0u);
 
     sink.setMask(static_cast<std::uint32_t>(trace::Flag::Spec));
     EXPECT_TRUE(sink.enabled());
@@ -107,6 +111,7 @@ TEST(TraceSink, DisabledByDefaultAndMaskGates)
 TEST(TraceSink, RecordsInOrderAcrossChunks)
 {
     trace::TraceSink sink;
+    sink.setMask(static_cast<std::uint32_t>(trace::Flag::Core));
     const std::uint16_t comp = sink.registerComponent("c0");
     // Cross at least one chunk boundary.
     const std::size_t n = trace::TraceSink::chunk_records + 100;
@@ -133,11 +138,13 @@ TEST(TraceSink, RecordsInOrderAcrossChunks)
 TEST(TraceSink, CapsAndCountsDrops)
 {
     trace::TraceSink sink(8);
+    sink.setMask(static_cast<std::uint32_t>(trace::Flag::Core));
     const std::uint16_t comp = sink.registerComponent("c0");
     for (Tick t = 0; t < 20; ++t)
         sink.record(comp, trace::EventKind::CoreCommit, t);
     EXPECT_EQ(sink.size(), 8u);
     EXPECT_EQ(sink.dropped(), 12u);
+    EXPECT_EQ(sink.lostFrom(), 8u);
 }
 
 TEST(TraceSink, AuxNamesResolvePerKind)
@@ -157,6 +164,7 @@ TEST(TraceSink, AuxNamesResolvePerKind)
 TEST(TraceSink, ExportsWellFormedChromeJson)
 {
     trace::TraceSink sink;
+    sink.setMask(static_cast<std::uint32_t>(trace::Flag::All));
     const std::uint16_t core = sink.registerComponent("core_0");
     const std::uint16_t l1 = sink.registerComponent("l1_0");
     sink.setAuxNames(trace::EventKind::SpecRollback, {"conflict"});
@@ -169,7 +177,9 @@ TEST(TraceSink, ExportsWellFormedChromeJson)
     sink.record(l1, trace::EventKind::ReqFill, 90, 1, 0x1000);
 
     std::ostringstream os;
-    sink.exportChromeJson(os);
+    sink.exportChromeJson(
+        os, trace::mergeRecords({&sink}, trace::Stream::Trace),
+        sink.dropped());
     const std::string json = os.str();
 
     expectBalancedJson(json);

@@ -16,7 +16,11 @@
  *  - with tracing off (tail_sample == 0) the subsystem contributes
  *    zero output bytes: no "tailtrace" stat group, no req_stage trace
  *    records, stats JSON byte-identical to a config that never heard
- *    of span tracing.
+ *    of span tracing;
+ *  - boundaries are ReqSpan records in the one TraceSink: the encoding
+ *    is lossless, they never reach the flight recorder or the raw
+ *    trace export, and a boundary the record cap dropped makes its
+ *    span incomplete, never a made-up one.
  */
 
 #include <gtest/gtest.h>
@@ -43,16 +47,16 @@ TEST(ReqTraceSampling, RequestZeroNeverSampled)
 {
     // req_id 0 marks control traffic (recalls) that has no issuing
     // request; it must never enter the sampled set, even at period 1.
-    ReqTraceSink sink;
-    sink.configure(1);
+    trace::TraceSink sink;
+    sink.configureSampling(1);
     EXPECT_FALSE(sink.sampled(0));
     EXPECT_TRUE(sink.sampled(1));
 }
 
 TEST(ReqTraceSampling, PeriodOneSamplesEverything)
 {
-    ReqTraceSink sink;
-    sink.configure(1);
+    trace::TraceSink sink;
+    sink.configureSampling(1);
     for (std::uint64_t id = 1; id < 1000; ++id)
         EXPECT_TRUE(sink.sampled(id)) << id;
 }
@@ -61,8 +65,8 @@ TEST(ReqTraceSampling, SampledSetIsADeterministicSubset)
 {
     // The period-N set must be a subset of the period-1 set selected
     // by the id mix alone -- no state, no order dependence.
-    ReqTraceSink s64;
-    s64.configure(64);
+    trace::TraceSink s64;
+    s64.configureSampling(64);
     std::set<std::uint64_t> first, second;
     for (std::uint64_t id = 1; id < 100000; ++id) {
         if (s64.sampled(id))
@@ -79,15 +83,222 @@ TEST(ReqTraceSampling, SampledSetIsADeterministicSubset)
     // The selection is the hash-threshold slice (a compare, not a
     // modulo, so the hot-path predicate never divides).
     for (std::uint64_t id : first)
-        EXPECT_LE(mixReqId(id), ~0ULL / 64);
+        EXPECT_LE(trace::mixReqId(id), ~0ULL / 64);
 }
 
 TEST(ReqTraceSampling, DisabledSinkRecordsNothing)
 {
-    ReqTraceSink sink;
-    EXPECT_FALSE(sink.enabled());
-    EXPECT_EQ(sink.ifEnabled(), nullptr);
+    trace::TraceSink sink;
+    // Not sampling: span records are not admitted, and no id is
+    // sampled -- not even with every --trace flag on.
+    sink.setMask(static_cast<std::uint32_t>(trace::Flag::All));
+    EXPECT_EQ(sink.samplePeriod(), 0u);
+    EXPECT_FALSE(sink.wants(trace::Flag::Span));
     EXPECT_FALSE(sink.sampled(1));
+    recordSpan(sink, sink.registerComponent("l1_0"), 1, 1, Stage::ReqNet,
+               0x40);
+    EXPECT_EQ(sink.size(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// one sink: the ReqSpan encoding and its isolation
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Just enough of a SimObject for FL_SPAN. */
+struct SpanSite
+{
+    trace::TraceSink &sink;
+    std::uint16_t id;
+    Tick now = 0;
+
+    trace::TraceSink &tracer() { return sink; }
+    std::uint16_t traceId() const { return id; }
+    Tick curTick() const { return now; }
+};
+
+} // namespace
+
+TEST(SpanEncoding, RoundTripsEveryField)
+{
+    trace::TraceSink sink;
+    sink.configureSampling(1);
+    SpanSite l1{sink, sink.registerComponent("l1_0")};
+    SpanSite dir{sink, sink.registerComponent("l2dir")};
+    const std::uint64_t req = (3ULL << 40) | 12345;
+    const Addr top_block = (1ULL << span_block_bits) - 64;
+
+    l1.now = 7;
+    FL_SPAN(l1, req, Stage::ReqNet, top_block, UINT32_MAX);
+    dir.now = 9;
+    FL_SPAN(dir, req, Stage::DirInv, 0x1040, 17u);
+    l1.now = 11;
+    FL_SPAN(l1, req, Stage::ReqNet, top_block, 0x400u, span_flag_retry);
+    FL_SPAN(l1, req, Stage::L1Queue, top_block, UINT32_MAX,
+            span_flag_waiter);
+    l1.now = 30;
+    FL_SPAN(l1, req, Stage::Done, top_block, 1u);
+
+    std::vector<trace::TraceRecord> got;
+    sink.forEach([&](const trace::TraceRecord &r) { got.push_back(r); });
+    ASSERT_EQ(got.size(), 5u);
+    for (const trace::TraceRecord &r : got) {
+        EXPECT_EQ(r.kind,
+                  static_cast<std::uint16_t>(trace::EventKind::ReqSpan));
+        EXPECT_EQ(r.a0, req);
+    }
+    EXPECT_EQ(got[0].tick, 7u);
+    EXPECT_EQ(got[0].comp, l1.id);
+    EXPECT_EQ(spanStage(got[0]), Stage::ReqNet);
+    EXPECT_EQ(spanBlock(got[0]), top_block);
+    EXPECT_EQ(spanFlags(got[0]), 0u);
+    EXPECT_EQ(got[0].aux, UINT32_MAX);
+
+    EXPECT_EQ(got[1].comp, dir.id);
+    EXPECT_EQ(spanStage(got[1]), Stage::DirInv);
+    EXPECT_EQ(spanBlock(got[1]), 0x1040u);
+    EXPECT_EQ(got[1].aux, 17u);
+
+    EXPECT_EQ(spanStage(got[2]), Stage::ReqNet);
+    EXPECT_EQ(spanFlags(got[2]), span_flag_retry);
+    EXPECT_EQ(got[2].aux, 0x400u);
+
+    EXPECT_EQ(spanStage(got[3]), Stage::L1Queue);
+    EXPECT_EQ(spanFlags(got[3]), span_flag_waiter);
+    EXPECT_EQ(spanBlock(got[3]), top_block);
+    EXPECT_EQ(got[3].aux, UINT32_MAX);
+
+    EXPECT_EQ(got[4].tick, 30u);
+    EXPECT_EQ(spanStage(got[4]), Stage::Done);
+
+    // Every stage survives the stage field.
+    for (std::size_t st = 0; st < num_stages; ++st) {
+        const trace::TraceRecord r = spanRecord(
+            1, 0, static_cast<Stage>(st), 0, top_block, UINT32_MAX,
+            span_flag_retry | span_flag_waiter);
+        EXPECT_EQ(spanStage(r), static_cast<Stage>(st));
+        EXPECT_EQ(spanBlock(r), top_block);
+        EXPECT_EQ(spanFlags(r), span_flag_retry | span_flag_waiter);
+    }
+}
+
+TEST(SpanEncoding, UnsampledRequestsAreNotRecorded)
+{
+    trace::TraceSink sink;
+    sink.configureSampling(64);
+    SpanSite l1{sink, sink.registerComponent("l1_0")};
+    std::uint64_t sampled = 0;
+    for (std::uint64_t id = 1; id <= 1000; ++id) {
+        FL_SPAN(l1, id, Stage::ReqNet, 0x40);
+        sampled += sink.sampled(id);
+    }
+    EXPECT_EQ(sink.size(), sampled);
+    // Request id 0 (control traffic) never records.
+    FL_SPAN(l1, 0, Stage::ReqNet, 0x40);
+    EXPECT_EQ(sink.size(), sampled);
+}
+
+TEST(SpanEncodingDeathTest, OversizedFieldsPanicInsteadOfTruncating)
+{
+    EXPECT_DEATH(spanRecord(1, 0, Stage::Done, 0, 1ULL << span_block_bits),
+                 "does not fit a ReqSpan record");
+    EXPECT_DEATH(spanRecord(1, 0, Stage::Done, 0, 0x40, 0, 16),
+                 "does not fit a ReqSpan record");
+}
+
+TEST(SpanEncoding, SpansNeverEnterTheRing)
+{
+    trace::TraceSink sink;
+    const std::uint16_t comp = sink.registerComponent("l1_0");
+    sink.configureRing(16, static_cast<std::uint32_t>(trace::Flag::All));
+    sink.configureSampling(1);
+    EXPECT_EQ(sink.ringFlags() &
+                  static_cast<std::uint32_t>(trace::Flag::Span),
+              0u);
+    recordSpan(sink, comp, 5, 1, Stage::ReqNet, 0x40);
+    EXPECT_EQ(sink.ringPushes(), 0u);
+    EXPECT_EQ(sink.size(), 1u);
+    // The Chrome exporter does not write a raw boundary either.
+    std::vector<trace::TraceRecord> raw;
+    sink.forEach([&](const trace::TraceRecord &r) { raw.push_back(r); });
+    std::ostringstream os;
+    sink.exportChromeJson(os, raw, 0);
+    EXPECT_EQ(os.str().find("req_span"), std::string::npos) << os.str();
+}
+
+TEST(SpanEncoding, SamplingOwnsTheSpanMaskBit)
+{
+    // --trace=all does not turn span records on, and a later mask
+    // change does not turn them off.
+    trace::TraceSink sink;
+    sink.setMask(static_cast<std::uint32_t>(trace::Flag::All));
+    EXPECT_FALSE(sink.wants(trace::Flag::Span));
+    sink.configureSampling(4);
+    EXPECT_TRUE(sink.wants(trace::Flag::Span));
+    sink.setMask(0);
+    EXPECT_TRUE(sink.wants(trace::Flag::Span));
+    sink.configureSampling(0);
+    EXPECT_FALSE(sink.wants(trace::Flag::Span));
+}
+
+TEST(SpanEncoding, DroppedBoundariesCountAsIncomplete)
+{
+    // One small-cap sink: the cap cuts the second request after its
+    // first boundary.  It must come out incomplete, not as a span.
+    {
+        trace::TraceSink sink(4);
+        sink.configureSampling(1);
+        const std::uint16_t l1 = sink.registerComponent("l1_0");
+        recordSpan(sink, l1, 10, 1, Stage::ReqNet, 0x40);
+        recordSpan(sink, l1, 20, 1, Stage::Done, 0x40);
+        recordSpan(sink, l1, 30, 2, Stage::ReqNet, 0x80);
+        recordSpan(sink, l1, 31, 3, Stage::ReqNet, 0xc0);
+        recordSpan(sink, l1, 40, 2, Stage::Done, 0x80); // dropped
+        recordSpan(sink, l1, 41, 3, Stage::Done, 0xc0); // dropped
+        EXPECT_EQ(sink.dropped(), 2u);
+        EXPECT_EQ(sink.lostFrom(), 40u);
+        const SpanSet set = assembleSpans(
+            trace::mergeRecords({&sink}, trace::Stream::Spans),
+            sink.lostFrom());
+        ASSERT_EQ(set.spans.size(), 1u);
+        EXPECT_EQ(set.spans[0].req_id, 1u);
+        EXPECT_EQ(set.incomplete, 2u);
+    }
+    // Two sinks (an L1 shard and a directory shard): the directory's
+    // cap drops the middle of a span whose ends the L1 kept.  Tiling
+    // what survived would charge the directory's cycles to ReqNet;
+    // the span is counted incomplete instead.
+    {
+        trace::TraceSink l1_sink;
+        trace::TraceSink dir_sink(2);
+        const std::uint16_t l1 = l1_sink.registerComponent("l1_0");
+        const std::uint16_t dir = l1_sink.registerComponent("l2dir");
+        dir_sink.registerComponent("l1_0");
+        dir_sink.registerComponent("l2dir");
+        l1_sink.configureSampling(1);
+        dir_sink.configureSampling(1);
+        recordSpan(l1_sink, l1, 10, 1, Stage::ReqNet, 0x40);
+        recordSpan(dir_sink, dir, 12, 1, Stage::DirAccess, 0x40);
+        recordSpan(dir_sink, dir, 18, 1, Stage::ReplyNet, 0x40);
+        recordSpan(l1_sink, l1, 20, 1, Stage::Done, 0x40);
+        recordSpan(l1_sink, l1, 30, 2, Stage::ReqNet, 0x80);
+        recordSpan(dir_sink, dir, 32, 2, Stage::DirAccess, 0x80);
+        recordSpan(dir_sink, dir, 38, 2, Stage::ReplyNet, 0x80);
+        recordSpan(l1_sink, l1, 40, 2, Stage::Done, 0x80);
+        EXPECT_EQ(dir_sink.dropped(), 2u);
+        const Tick lost_from =
+            std::min(l1_sink.lostFrom(), dir_sink.lostFrom());
+        const SpanSet set = assembleSpans(
+            trace::mergeRecords({&l1_sink, &dir_sink},
+                                trace::Stream::Spans),
+            lost_from);
+        ASSERT_EQ(set.spans.size(), 1u);
+        EXPECT_EQ(set.spans[0].req_id, 1u);
+        EXPECT_EQ(set.spans[0].stages.size(), 3u);
+        EXPECT_EQ(set.incomplete, 1u);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -97,17 +308,11 @@ TEST(ReqTraceSampling, DisabledSinkRecordsNothing)
 namespace
 {
 
-SpanEvent
+trace::TraceRecord
 ev(std::uint64_t req, Tick tick, Stage stage, std::uint32_t aux = 0,
    std::uint8_t flags = 0)
 {
-    SpanEvent e;
-    e.req_id = req;
-    e.tick = tick;
-    e.stage = static_cast<std::uint8_t>(stage);
-    e.aux = aux;
-    e.flags = flags;
-    return e;
+    return spanRecord(req, tick, stage, 0, 0, aux, flags);
 }
 
 } // namespace
@@ -117,7 +322,7 @@ TEST(ReqTraceAssembly, BoundaryEventsTileTheLatency)
     // A request that goes miss -> directory -> DRAM -> reply -> fill:
     // each stage owns [its tick, next tick), so the stage cycles sum
     // to done - issue with nothing counted twice and nothing dropped.
-    std::vector<SpanEvent> events = {
+    std::vector<trace::TraceRecord> events = {
         ev(7, 100, Stage::ReqNet),
         ev(7, 108, Stage::DirQueue),
         ev(7, 110, Stage::DirAccess),
@@ -126,7 +331,7 @@ TEST(ReqTraceAssembly, BoundaryEventsTileTheLatency)
         ev(7, 204, Stage::FillWait),
         ev(7, 205, Stage::Done),
     };
-    SpanSet set = assembleSpans(std::move(events), 1);
+    SpanSet set = assembleSpans(std::move(events));
     ASSERT_EQ(set.spans.size(), 1u);
     EXPECT_EQ(set.incomplete, 0u);
     const Span &s = set.spans[0];
@@ -148,7 +353,7 @@ TEST(ReqTraceAssembly, RetryLoopsStayReconciled)
 {
     // An invalidation racing the fill forces a re-request: the span
     // grows extra ReqNet.. segments but keeps tiling [issue, done].
-    std::vector<SpanEvent> events = {
+    std::vector<trace::TraceRecord> events = {
         ev(9, 50, Stage::ReqNet),
         ev(9, 60, Stage::DirAccess),
         ev(9, 70, Stage::ReplyNet),
@@ -159,7 +364,7 @@ TEST(ReqTraceAssembly, RetryLoopsStayReconciled)
         ev(9, 115, Stage::FillWait),
         ev(9, 116, Stage::Done),
     };
-    SpanSet set = assembleSpans(std::move(events), 1);
+    SpanSet set = assembleSpans(std::move(events));
     ASSERT_EQ(set.spans.size(), 1u);
     const Span &s = set.spans[0];
     EXPECT_EQ(s.retries, 1u);
@@ -174,7 +379,7 @@ TEST(ReqTraceAssembly, WaiterEventsBecomeSeparateSpans)
 {
     // Two coalesced waiters queue behind a traced primary: each gets
     // its own single-stage L1Queue span ending at the primary's fill.
-    std::vector<SpanEvent> events = {
+    std::vector<trace::TraceRecord> events = {
         ev(3, 10, Stage::ReqNet),
         ev(3, 12, Stage::L1Queue, 111, span_flag_waiter),
         ev(3, 20, Stage::DirAccess),
@@ -183,7 +388,7 @@ TEST(ReqTraceAssembly, WaiterEventsBecomeSeparateSpans)
         ev(3, 48, Stage::FillWait),
         ev(3, 50, Stage::Done, 2),
     };
-    SpanSet set = assembleSpans(std::move(events), 1);
+    SpanSet set = assembleSpans(std::move(events));
     ASSERT_EQ(set.spans.size(), 3u);
     const Span &primary = set.spans[0];
     EXPECT_FALSE(primary.waiter);
@@ -205,11 +410,11 @@ TEST(ReqTraceAssembly, UnfinishedRequestsAreCountedNotInvented)
 {
     // A request still in flight at the end of the run has no Done
     // event: it must not fabricate a span.
-    std::vector<SpanEvent> events = {
+    std::vector<trace::TraceRecord> events = {
         ev(5, 10, Stage::ReqNet),
         ev(5, 20, Stage::DirAccess),
     };
-    SpanSet set = assembleSpans(std::move(events), 1);
+    SpanSet set = assembleSpans(std::move(events));
     EXPECT_TRUE(set.spans.empty());
     EXPECT_EQ(set.incomplete, 1u);
 }
@@ -446,6 +651,51 @@ TEST(TailTrace, PerfettoExportCarriesSpanStages)
     // the stage name, chained by "span"-category flow arrows.
     EXPECT_NE(r.trace.find("\"req_net\""), std::string::npos);
     EXPECT_NE(r.trace.find("\"cat\": \"span\""), std::string::npos);
+}
+
+TEST(TailTrace, TraceOutCarriesNoRawSpanRecords)
+{
+    // Every --trace kind on, every miss sampled: the sink holds the
+    // raw ReqSpan boundaries, yet the exported document shows only the
+    // assembled ReqStage slices.
+    harness::SystemConfig cfg = tailConfig(2, 1);
+    cfg.trace_mask = static_cast<std::uint32_t>(trace::Flag::All);
+    workload::SpinlockCrit wl;
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System sys(cfg, prog);
+    ASSERT_TRUE(sys.run());
+    std::uint64_t raw = 0;
+    sys.tracer().forEach([&](const trace::TraceRecord &r) {
+        raw += r.kind ==
+               static_cast<std::uint16_t>(trace::EventKind::ReqSpan);
+    });
+    EXPECT_GT(raw, 0u);
+    std::ostringstream os;
+    sys.exportTrace(os);
+    EXPECT_EQ(os.str().find("req_span"), std::string::npos);
+    EXPECT_NE(os.str().find("\"req_net\""), std::string::npos);
+}
+
+TEST(TailTrace, BlackboxIdenticalWithSpansOnAndOff)
+{
+    // Span boundaries never enter the flight-recorder ring, so the
+    // dump and the tail are the same bytes whether sampling is on.
+    auto dumps = [](std::uint64_t period) {
+        const harness::SystemConfig cfg = tailConfig(1, period);
+        workload::SpinlockCrit wl;
+        isa::Program prog = wl.build(cfg.num_cores);
+        harness::System sys(cfg, prog);
+        EXPECT_TRUE(sys.run());
+        std::ostringstream json, tail;
+        sys.writeBlackbox(json);
+        sys.writeBlackboxTail(tail);
+        return std::make_pair(json.str(), tail.str());
+    };
+    const auto off = dumps(0);
+    const auto on = dumps(1);
+    EXPECT_NE(off.first.find("\"traceEvents\""), std::string::npos);
+    EXPECT_EQ(on.first, off.first);
+    EXPECT_EQ(on.second, off.second);
 }
 
 // ---------------------------------------------------------------------
