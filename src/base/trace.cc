@@ -38,7 +38,7 @@ namespace
 // boundaries are recorded when --tail-sample asks, never by --trace.
 constexpr Flag all_flags[] = {
     Flag::Core, Flag::SB, Flag::L1, Flag::Dir, Flag::Net, Flag::Spec,
-    Flag::Req, Flag::Stall, Flag::Host, Flag::All,
+    Flag::Req, Flag::Stall, Flag::All,
 };
 
 } // namespace
@@ -55,7 +55,6 @@ flagName(Flag f)
       case Flag::Spec: return "spec";
       case Flag::Req: return "req";
       case Flag::Stall: return "stall";
-      case Flag::Host: return "host";
       case Flag::Span: return "span";
       case Flag::All: return "all";
     }

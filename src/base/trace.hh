@@ -34,8 +34,7 @@ enum class Flag : std::uint32_t
     Spec  = 1u << 5,
     Req   = 1u << 6, //!< request-lifetime flow events (miss attribution)
     Stall = 1u << 7, //!< core stall-interval duration events
-    Host  = 1u << 8, //!< host-side shard telemetry (quantum phases)
-    Span  = 1u << 9, //!< sampled request-span boundaries; owned by the
+    Span  = 1u << 8, //!< sampled request-span boundaries; owned by the
                      //!< sink's span sampling, not a --trace name
     All   = ~0u,
 };

@@ -1,14 +1,11 @@
 #include "harness/options.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <thread>
 
-#include "base/bitfield.hh"
 #include "base/logging.hh"
 #include "base/trace.hh"
 
@@ -25,8 +22,7 @@ const char *known_options[] = {
     "jobs", "csv", "trace", "trace-out", "stats-json", "stats-interval",
     "sweep-json",
     "profile-out", "waste-report", "blackbox-out", "blackbox",
-    "watchdog-interval", "watchdog-storm", "parallel-sim", "shards",
-    "shard-report", "host-telemetry", "tail-sample", "tail-report",
+    "watchdog-interval", "watchdog-storm", "tail-sample", "tail-report",
     "outliers-out", "outliers", "help",
 };
 
@@ -83,6 +79,8 @@ Options::Options(int argc, char **argv)
     }
     csv_ = has("csv");
     scale_ = static_cast<unsigned>(getInt("scale", 1, UINT_MAX));
+    if (scale_ == 0)
+        fatal("option --scale must be at least 1");
     seed_ = getInt("seed", 42);
     jobs_ = static_cast<unsigned>(getInt("jobs", 0, UINT_MAX));
 
@@ -186,30 +184,9 @@ Options::applyTo(SystemConfig base) const
     }
     if (has("hop-latency"))
         base.net.hop_latency = getInt("hop-latency", 0);
-    if (has("dir-banks")) {
-        // Non-fatal like --shards: any bank count is functionally
-        // identical, so round a bad value down instead of dying.
-        std::uint64_t banks = getInt("dir-banks", 1);
-        if (banks < 1) {
-            std::cerr << "warning: --dir-banks must be >= 1; using 1\n";
-            banks = 1;
-        }
-        if (banks > 64) {
-            std::cerr << "warning: --dir-banks=" << banks
-                      << " exceeds 64; clamping\n";
-            banks = 64;
-        }
-        if (!isPowerOf2(banks)) {
-            std::uint64_t down = 1;
-            while (down * 2 <= banks)
-                down *= 2;
-            std::cerr << "warning: --dir-banks=" << banks
-                      << " is not a power of two; using " << down
-                      << "\n";
-            banks = down;
-        }
-        base.dir_banks = static_cast<std::uint32_t>(banks);
-    }
+    if (has("dir-banks"))
+        base.dir_banks =
+            static_cast<std::uint32_t>(getInt("dir-banks", 1, UINT32_MAX));
     if (has("trace")) {
         std::uint32_t mask = 0;
         std::string error;
@@ -247,64 +224,8 @@ Options::applyTo(SystemConfig base) const
         base.tail_outliers = static_cast<std::uint32_t>(
             getInt("outliers", 10, UINT32_MAX));
     }
-    // --shard-report implies telemetry; --host-telemetry[=0|1] sets it
-    // directly (so a report-less run can still feed the stats-json
-    // "host" section and the trace's host tracks).
-    if (has("shard-report") || (has("host-telemetry") &&
-                                getInt("host-telemetry", 1) != 0)) {
-        base.host_telemetry = true;
-    }
-
-    // --parallel-sim / --shards: non-fatal validation, like the trace
-    // flag parser -- a bad value must not kill a scripted sweep, since
-    // every value produces byte-identical results anyway.  Warn and
-    // fall back instead.
-    if (has("parallel-sim") || has("shards")) {
-        auto parse = [this](const char *name,
-                            std::uint64_t fallback) -> std::uint64_t {
-            const std::string v = get(name);
-            try {
-                return std::stoull(v);
-            } catch (...) {
-                std::cerr << "warning: --" << name
-                          << " expects a number, got '" << v
-                          << "'; ignoring\n";
-                return fallback;
-            }
-        };
-        const std::uint64_t parallel =
-            has("parallel-sim") ? parse("parallel-sim", 1) : 1;
-        if (parallel == 0) {
-            if (has("shards") && parse("shards", 1) > 1) {
-                std::cerr << "warning: --shards ignored because "
-                             "--parallel-sim=0\n";
-            }
-            base.shards = 1;
-        } else {
-            std::uint64_t shards =
-                has("shards") ? parse("shards", 0) : 0;
-            if (has("shards") && shards == 0) {
-                std::cerr << "warning: --shards must be >= 1; using "
-                             "the default\n";
-            }
-            if (shards == 0) {
-                // Default: one shard per host thread, bounded by the
-                // finest partition (one shard per core + one for the
-                // directory side).
-                const unsigned hw = std::thread::hardware_concurrency();
-                shards = std::min<std::uint64_t>(
-                    hw ? hw : 1,
-                    static_cast<std::uint64_t>(base.num_cores) + 1);
-            }
-            if (shards > base.num_cores + 1) {
-                std::cerr << "warning: --shards=" << shards
-                          << " exceeds the finest partition; clamping "
-                             "to " << base.num_cores + 1 << "\n";
-                shards = base.num_cores + 1;
-            }
-            base.shards = static_cast<std::uint32_t>(shards);
-        }
-    }
+    if (const std::string bad = base.check(); !bad.empty())
+        fatal(bad);
     return base;
 }
 
@@ -327,8 +248,7 @@ Options::printUsage(const std::string &prog)
         << "  --hop-latency=N       per-hop latency for ring/mesh\n"
            "                        (cycles, default 3)\n"
         << "  --dir-banks=N         directory banks (power of two,\n"
-           "                        1..64; banks interleave by block\n"
-           "                        and distribute across shards)\n"
+           "                        1..64; banks interleave by block)\n"
         << "  --scale=N             workload scaling factor\n"
         << "  --seed=N              workload seed\n"
         << "  --jobs=N              host threads for independent runs\n"
@@ -357,20 +277,9 @@ Options::printUsage(const std::string &prog)
            "                        (default 100000; 0 = off)\n"
         << "  --watchdog-storm=N    rollbacks/window classified as a\n"
            "                        rollback storm (default 256)\n"
-        << "  --parallel-sim=0|1    shard ONE simulation across host\n"
-           "                        threads (0 = single-threaded\n"
-           "                        reference; results are identical)\n"
-        << "  --shards=N            shard count for --parallel-sim\n"
-           "                        (default: hardware concurrency,\n"
-           "                        clamped to cores+1)\n"
-        << "  --shard-report        print the host-waste shard report\n"
-           "                        (enables host telemetry)\n"
-        << "  --host-telemetry=0|1  per-shard busy/barrier/drain\n"
-           "                        accounting, stats-json host section\n"
-           "                        and host trace tracks\n"
         << "  --tail-sample=N       trace 1 in N misses end to end\n"
            "                        (1 = every miss; byte-identical\n"
-           "                        for any --shards / --jobs)\n"
+           "                        for any --jobs)\n"
         << "  --tail-report         print the critical-path stage\n"
            "                        attribution table (implies\n"
            "                        --tail-sample=64 if unset)\n"

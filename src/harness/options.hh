@@ -22,10 +22,7 @@
  *     --topology=T         interconnect topology: crossbar|ring|mesh
  *                          (unknown values are fatal, like --model)
  *     --hop-latency=N      per-hop latency for ring/mesh (cycles)
- *     --dir-banks=N        directory banks (power of two, 1..64;
- *                          bad values warn and round down, never
- *                          abort -- every bank count is functionally
- *                          equivalent)
+ *     --dir-banks=N        directory banks (power of two, 1..64)
  *     --scale=N            workload scaling factor
  *     --seed=N             workload seed where applicable
  *     --jobs=N             host threads for independent runs
@@ -53,22 +50,10 @@
  *                          (default 100000; 0 disables the watchdog)
  *     --watchdog-storm=N   rollbacks per window that classify a hang
  *                          as a rollback storm (default 256)
- *     --parallel-sim=0|1   shard one simulation across host threads
- *                          (0 = single-threaded reference; stats,
- *                          profile and blackbox output are identical
- *                          either way -- see harness/system.hh)
- *     --shards=N           shard count when --parallel-sim is on
- *                          (default: hardware concurrency, clamped to
- *                          cores + 1; validation warns, never aborts)
- *     --shard-report       print the host-waste shard report after the
- *                          run (implies --host-telemetry)
- *     --host-telemetry=0|1 per-shard busy/barrier/drain accounting,
- *                          the stats-json "host" section and host
- *                          tracks in --trace-out
  *     --tail-sample=N      per-request span tracing: trace 1 in N
  *                          misses end to end (1 = every miss; the
  *                          sampled set is byte-identical for any
- *                          --shards / --jobs value)
+ *                          --jobs value)
  *     --tail-report        print the critical-path stage-attribution
  *                          table after the run (implies
  *                          --tail-sample=64 when unset)
@@ -80,6 +65,8 @@
  * Output paths (--trace-out, --stats-json, --profile-out) are opened
  * for writing at parse time and rejected immediately when unwritable,
  * so a bad path fails before the simulation instead of after it.
+ * Likewise a machine the simulator cannot build (SystemConfig::check)
+ * is refused by applyTo with a `fatal:` line and exit status 1.
  */
 
 #pragma once
@@ -103,7 +90,10 @@ class Options
      */
     Options(int argc, char **argv);
 
-    /** Overlay the parsed options onto @p base and return the result. */
+    /**
+     * Overlay the parsed options onto @p base and return the result;
+     * fatal if the result fails SystemConfig::check().
+     */
     SystemConfig applyTo(SystemConfig base) const;
 
     bool csv() const { return csv_; }
@@ -138,9 +128,6 @@ class Options
 
     /** @return true if --waste-report was passed. */
     bool wasteReport() const { return has("waste-report"); }
-
-    /** @return true if --shard-report was passed. */
-    bool shardReport() const { return has("shard-report"); }
 
     /** @return true if --tail-report was passed. */
     bool tailReport() const { return has("tail-report"); }

@@ -252,9 +252,8 @@ L1Cache::handleMiss(MemRequest req, bool want_m)
     mshr.want_m = want_m;
     mshr.miss_start = curTick();
     // Request ids are minted per L1 (node in the high bits, local
-    // counter below) rather than from the shard-shared trace sink, so
-    // an id depends only on this cache's own miss sequence -- identical
-    // however the system is sharded across host threads.
+    // counter below), so an id depends only on this cache's own miss
+    // sequence.
     mshr.req_id =
         (static_cast<std::uint64_t>(node_id_ + 1) << 40) | ++last_req_id_;
     mshr.pc = req.pc;

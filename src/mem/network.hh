@@ -25,29 +25,20 @@
  * charges its serialization cycles to each directed link on its route,
  * accumulated in sender-owned counters and folded deterministically at
  * finalizeStats() (hop totals, hot-link occupancy).  Shared-link
- * *timing* contention is deliberately not modeled: arrival times must
- * be a pure function of sender-owned channel state so that a sharded
- * run stays byte-identical to the single-threaded reference without
- * cross-thread synchronization on every send (see below).
+ * *timing* contention is deliberately not modeled: an arrival time is
+ * a pure function of the sending channel's state.
  *
- * The network is also the simulator's only cross-shard edge when the
- * System is sharded across host threads (--shards=N), so delivery is
- * built around a *canonical per-destination ingress*: every node owns a
- * min-heap of pending arrivals ordered by (arrival tick, source node,
- * per-channel sequence) -- a total order whose keys are computed
- * entirely at send time -- drained by one event on the destination
- * node's shard queue.  Same-shard sends enqueue directly; cross-shard
- * sends travel through the System's mailboxes and are enqueued at the
- * next quantum boundary, which the lookahead (quantum <= latency + 1)
- * guarantees still precedes the arrival tick.  Delivery order at every
- * node is therefore a pure function of the message timing, identical
- * whether the simulation runs on one host thread or eight.
+ * Delivery goes through a *canonical per-destination ingress*: every
+ * node owns a min-heap of pending arrivals ordered by (arrival tick,
+ * source node, per-channel sequence) -- a total order whose keys are
+ * computed entirely at send time -- drained by one ingress event per
+ * node.  Same-tick delivery order at every node is therefore a pure
+ * function of the message timing, never of event-queue insertion
+ * order, and every stats, trace and blackbox document depends on it.
  *
  * Stats follow the same discipline: each node accumulates its own tx
- * counters and rx latency moments (touched only by its shard's
- * thread), and finalizeStats() folds them into the legacy "network"
- * stat group in node order at end of run -- deterministic and
- * lock-free in every mode.
+ * counters and rx latency moments, and finalizeStats() folds them into
+ * the "network" stat group in node order at end of run.
  */
 
 #pragma once
@@ -148,19 +139,6 @@ class Network : public sim::SimObject
         std::uint32_t link_bytes_per_cycle = 16;
 
         /**
-         * The minimum cross-node delay this topology can produce: one
-         * route of minimal length plus the >= 1 serialization cycle
-         * every message pays.  The sharded driver's lookahead (see
-         * harness/system.hh) must not exceed this.
-         */
-        Tick
-        minDelay() const
-        {
-            return static_cast<Tick>(topology == Topology::Crossbar
-                                         ? latency
-                                         : hop_latency) + 1;
-        }
-        /**
          * Fault injection: silently drop FwdDataAck/FwdNoDataAck
          * messages for these block addresses.  The owner believes it
          * answered the probe; the directory transaction waits forever
@@ -194,42 +172,11 @@ class Network : public sim::SimObject
      */
     ~Network() override;
 
-    /**
-     * Declare which shard context delivers to endpoint @p id.  Must be
-     * called before the endpoint registers.  Never calling it leaves
-     * every node on the network's own context (shard 0) -- the
-     * single-threaded default used by protocol unit tests.
-     */
-    void bindNode(NodeId id, sim::SimContext &ctx, std::uint32_t shard);
-
-    /**
-     * Route for cross-shard sends: invoked as (src_shard, dst_shard,
-     * pending) when a message's source and destination live on
-     * different shards.  The System points this at its mailbox grid;
-     * the receiver re-injects via enqueueArrival() at the next quantum
-     * boundary.
-     */
-    using CrossShardPush =
-        std::function<void(std::uint32_t, std::uint32_t, PendingMsg &&)>;
-    void setCrossShardPush(CrossShardPush push)
-    {
-        cross_push_ = std::move(push);
-    }
-
     /** Attach the receiver for endpoint @p id. */
     void registerEndpoint(NodeId id, MsgReceiver *receiver);
 
-    /** Send a message; delivery is scheduled on the dst shard's queue. */
+    /** Send a message into its destination's ingress heap. */
     void send(Msg msg);
-
-    /**
-     * Push a pending message into its destination's ingress heap and
-     * (re)arm the ingress event.  Called by send() for same-shard
-     * traffic and by the System's mailbox drain for cross-shard
-     * traffic; must run on the destination shard's thread with the
-     * arrival tick still in that queue's future.
-     */
-    void enqueueArrival(PendingMsg &&pm);
 
     /**
      * Fold the per-node counters into the "network" stat group (node
@@ -273,8 +220,7 @@ class Network : public sim::SimObject
     /**
      * Fold the per-node per-link message counters into one vector
      * (indexed by link id; empty on the crossbar).  Same node-order
-     * fold as finalizeStats(), so the result is shard-independent;
-     * callable at any point (end-of-run reports use it to name each
+     * fold as finalizeStats(); callable at any point (end-of-run reports use it to name each
      * sampled request's hottest link).
      */
     std::vector<std::uint64_t> foldedLinkMsgs() const;
@@ -301,15 +247,11 @@ class Network : public sim::SimObject
     /**
      * Per-node state: the tx counters this node produces as a source
      * and the ingress heap + rx accumulators it owns as a destination.
-     * Everything here is touched only by the node's shard thread (the
-     * coordinator reads between quanta).
      */
     struct Node
     {
-        sim::SimContext *ctx = nullptr; //!< delivery context (shard)
-        std::uint32_t shard = 0;
         MsgReceiver *receiver = nullptr;
-        std::uint16_t trace_id = 0; //!< "net.rxN" track in ctx's sink
+        std::uint16_t trace_id = 0; //!< "net.rxN" track
 
         // tx side (this node as msg.src)
         std::vector<TxChan> chans; //!< indexed by dst
@@ -322,10 +264,8 @@ class Network : public sim::SimObject
 
         /**
          * Per-link occupancy charged by this node's sends (indexed by
-         * link id, lazily sized; empty on the crossbar).  Single-writer
-         * by construction -- only this node's shard thread sends from
-         * this node -- and folded across nodes in node order at
-         * finalizeStats(), so the totals are shard-count independent.
+         * link id, lazily sized; empty on the crossbar), folded across
+         * nodes in node order at finalizeStats().
          */
         std::vector<std::uint64_t> link_msgs;
         std::vector<std::uint64_t> link_busy; //!< serialization cycles
@@ -346,18 +286,17 @@ class Network : public sim::SimObject
     /**
      * Ingress events outrank every component event (prio_highest is 0)
      * and each other by node id, so all of a tick's deliveries land --
-     * in node order -- before any component logic runs at that tick, a
-     * rule that costs nothing and is trivially shard-independent.
+     * in node order -- before any component logic runs at that tick.
      */
     static constexpr int ingress_prio_base = -100000;
 
     Node &ensureNode(NodeId id);
+    void armIngress(Node &n);
     void ingressFire(NodeId id);
     void rxSample(Node &n, double v);
 
     Params params_;
     std::vector<Node> nodes_;
-    CrossShardPush cross_push_;
     bool finalized_ = false;
 
     statistics::Scalar &stat_msgs_;

@@ -7,19 +7,15 @@ namespace fenceless::trace
 {
 
 void
-writeBlackboxJson(std::ostream &os, const TraceSink &meta,
-                  const std::vector<const TraceSink *> &sinks,
+writeBlackboxJson(std::ostream &os, const TraceSink &sink,
                   const std::string &provenance_json)
 {
-    const auto records = mergeRecords(sinks, Stream::Ring);
+    const auto records = mergeRecords(sink, Stream::Ring);
     // Events pushed but since overwritten: report them as dropped so
     // the dump is honest about being a tail, not the full history.
-    std::uint64_t pushes = 0;
-    for (const TraceSink *s : sinks)
-        pushes += s->ringPushes();
     const std::uint64_t overwritten =
-        pushes - static_cast<std::uint64_t>(records.size());
-    meta.exportChromeJson(os, records, overwritten, provenance_json);
+        sink.ringPushes() - static_cast<std::uint64_t>(records.size());
+    sink.exportChromeJson(os, records, overwritten, provenance_json);
 }
 
 namespace
@@ -63,8 +59,6 @@ writeOne(std::ostream &os, const TraceSink &sink, const TraceRecord &r)
         os << " req=" << r.a0 << " latency=" << r.a1 << " msg="
            << sink.auxName(kind, r.aux);
         break;
-      case EventKind::HostPhase:
-      case EventKind::HostCoord:
       case EventKind::ReqStage:
       case EventKind::ReqSpan:
       case EventKind::NumKinds:
@@ -76,19 +70,16 @@ writeOne(std::ostream &os, const TraceSink &sink, const TraceRecord &r)
 } // namespace
 
 void
-writeBlackboxTail(std::ostream &os, const TraceSink &meta,
-                  const std::vector<const TraceSink *> &sinks,
+writeBlackboxTail(std::ostream &os, const TraceSink &sink,
                   std::size_t per_component)
 {
-    std::uint64_t pushes = 0;
-    for (const TraceSink *s : sinks)
-        pushes += s->ringPushes();
     os << "flight recorder tail (last " << per_component
-       << " events per component, " << pushes << " recorded total):\n";
+       << " events per component, " << sink.ringPushes()
+       << " recorded total):\n";
     // Each component's slice of the canonical merge is its ring in
     // recording order.
-    std::vector<std::vector<TraceRecord>> by_comp(meta.components().size());
-    for (const TraceRecord &r : mergeRecords(sinks, Stream::Ring))
+    std::vector<std::vector<TraceRecord>> by_comp(sink.components().size());
+    for (const TraceRecord &r : mergeRecords(sink, Stream::Ring))
         by_comp[r.comp].push_back(r);
     for (std::size_t c = 0; c < by_comp.size(); ++c) {
         std::vector<TraceRecord> &tail = by_comp[c];
@@ -96,14 +87,14 @@ writeBlackboxTail(std::ostream &os, const TraceSink &meta,
             tail.erase(tail.begin(),
                        tail.end() -
                            static_cast<std::ptrdiff_t>(per_component));
-        os << "  " << meta.components()[c];
+        os << "  " << sink.components()[c];
         if (tail.empty()) {
             os << ": (no events)\n";
             continue;
         }
         os << ":\n";
         for (const TraceRecord &r : tail)
-            writeOne(os, meta, r);
+            writeOne(os, sink, r);
     }
 }
 

@@ -10,13 +10,9 @@
  * Merge order is *canonical*, not capture order: the rings go through
  * the same mergeRecords() (sim/trace_sink.hh) as the full trace and
  * the span assembly -- a time merge in which same-tick records from
- * different components appear in component-id order.  That rule is
- * independent of how many host threads produced the records, which is
- * what makes a sharded run's `--blackbox-out` byte-identical to the
- * single-threaded reference: the dumps gather each component's ring
- * from whichever shard sink owns it (component ids are global across
- * shard sinks).  Span boundaries never enter a ring, so a dump is the
- * same with span sampling on or off.
+ * different components appear in component-id order.  Span boundaries
+ * never enter a ring, so a dump is the same with span sampling on or
+ * off.
  *
  * The two output forms:
  *
@@ -37,7 +33,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "sim/trace_sink.hh"
 
@@ -45,30 +40,24 @@ namespace fenceless::trace
 {
 
 /**
- * Default ring mask: everything except per-instruction commit counters
- * and host-side telemetry.  CoreCommit fires once per retired
- * instruction -- recording it would put a ring store on the single
- * hottest path in the simulator; the stall/spec/request/network kinds
- * that matter for incident forensics fire orders of magnitude less
- * often, which is how the always-on recorder stays within its <=3%
- * full-system budget.  Host records carry wall-clock payloads that
- * vary run to run, so keeping them out preserves the blackbox dump's
- * byte-identity across shard counts even with telemetry enabled.
+ * Default ring mask: everything except per-instruction commit counters.
+ * CoreCommit fires once per retired instruction -- recording it would
+ * put a ring store on the single hottest path in the simulator; the
+ * stall/spec/request/network kinds that matter for incident forensics
+ * fire orders of magnitude less often, which is how the always-on
+ * recorder stays within its <=3% full-system budget.
  */
 inline constexpr std::uint32_t default_blackbox_flags =
     static_cast<std::uint32_t>(Flag::All) &
-    ~static_cast<std::uint32_t>(Flag::Core) &
-    ~static_cast<std::uint32_t>(Flag::Host);
+    ~static_cast<std::uint32_t>(Flag::Core);
 
 /**
- * Write the merged ring tail of @p sinks (a system's shard sinks; @p
- * meta names the components) as a Chrome trace-event JSON document --
- * the same format as TraceSink::exportChromeJson, so the dump is a
- * valid `--trace-out` file.  @p provenance_json (may be empty) is
- * embedded as a top-level "provenance" key.
+ * Write the merged ring tail of @p sink as a Chrome trace-event JSON
+ * document -- the same format as TraceSink::exportChromeJson, so the
+ * dump is a valid `--trace-out` file.  @p provenance_json (may be
+ * empty) is embedded as a top-level "provenance" key.
  */
-void writeBlackboxJson(std::ostream &os, const TraceSink &meta,
-                       const std::vector<const TraceSink *> &sinks,
+void writeBlackboxJson(std::ostream &os, const TraceSink &sink,
                        const std::string &provenance_json);
 
 /**
@@ -76,8 +65,7 @@ void writeBlackboxJson(std::ostream &os, const TraceSink &meta,
  * @p per_component ring events with decoded arguments.  Used inside
  * stall dossiers and panic dumps.
  */
-void writeBlackboxTail(std::ostream &os, const TraceSink &meta,
-                       const std::vector<const TraceSink *> &sinks,
+void writeBlackboxTail(std::ostream &os, const TraceSink &sink,
                        std::size_t per_component = 8);
 
 } // namespace fenceless::trace

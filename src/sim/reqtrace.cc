@@ -51,7 +51,7 @@ assembleSpans(std::vector<trace::TraceRecord> records, Tick lost_from)
     // Canonical order: group by request, then by time.  stable_sort
     // preserves the merged order inside a (req, tick) group, and such
     // a group is always recorded by a single component (see the
-    // header comment), so the result is shard-count independent.
+    // header comment).
     std::stable_sort(records.begin(), records.end(),
                      [](const trace::TraceRecord &a,
                         const trace::TraceRecord &b) {

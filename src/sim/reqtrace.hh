@@ -31,23 +31,22 @@
  * "waiter" span [queue tick, fill tick], which is exactly the MSHR
  * wait that request experienced.
  *
- * Sampling must be byte-identical across --shards and --jobs, so it is
- * a pure function of the request id: ids are minted per L1 as
- * (node+1)<<40 | local-miss-sequence (shard-invariant by construction,
- * see L1Cache::handleMiss), and a request is sampled iff a splitmix64
- * hash of its id falls in the configured 1-in-N slice
- * (trace::TraceSink::sampled).  Every component -- L1, directory bank,
+ * Sampling must be byte-identical across --jobs values, so it is a
+ * pure function of the request id: ids are minted per L1 as
+ * (node+1)<<40 | local-miss-sequence (see L1Cache::handleMiss), and a
+ * request is sampled iff a splitmix64 hash of its id falls in the
+ * configured 1-in-N slice (trace::TraceSink::sampled).  Every component -- L1, directory bank,
  * network -- can re-derive the decision statelessly from msg.req_id.
  *
  * Recording: a boundary is one EventKind::ReqSpan record in the owning
  * SimContext's TraceSink (FL_SPAN below; spanRecord() is the
- * encoding), under that sink's ownership, threading and record cap.
- * Span assembly runs once, after the run, on the main thread, over
+ * encoding), under that sink's ownership and record cap.  Span
+ * assembly runs once, after the run, over
  * trace::mergeRecords(Stream::Spans) stable-sorted by (req_id, tick):
- * order-independent across shard counts because any two same-request
- * events at the same tick are recorded by the same component
- * (cross-component transitions ride the network, whose minimum delay
- * is one cycle).  A boundary the cap dropped makes its span
+ * any two same-request events at the same tick are recorded by the
+ * same component (cross-component transitions ride the network, whose
+ * minimum delay is one cycle), so the order within such a group is
+ * recording order.  A boundary the cap dropped makes its span
  * incomplete, never a made-up one.
  */
 
@@ -219,11 +218,10 @@ struct SpanSet
 };
 
 /**
- * Assemble ReqSpan records (the canonical merge of every sink) into
- * complete spans.  Deterministic for any shard count: see the file
- * comment for the ordering argument.  A span that reaches
- * @p lost_from -- the first tick any sink dropped a record at -- may
- * be missing boundaries and is counted as incomplete.
+ * Assemble ReqSpan records (in the canonical mergeRecords order) into
+ * complete spans; see the file comment for the ordering argument.  A
+ * span that reaches @p lost_from -- the first tick the sink dropped a
+ * record at -- may be missing boundaries and is counted as incomplete.
  */
 SpanSet assembleSpans(std::vector<trace::TraceRecord> records,
                       Tick lost_from = max_tick);

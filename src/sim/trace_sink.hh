@@ -20,12 +20,10 @@
  * Chrome export.
  *
  * Concurrency / cost model:
- *  - One sink per sim::SimContext -- i.e. per shard of a simulated
- *    system -- and a shard runs on exactly one host thread, so the hot
- *    path is a plain bounds-checked append: no locks, no atomics, safe
- *    under `SweepRunner --jobs=N` and under sharded (`--shards=N`)
- *    execution because sinks share nothing.  Sharded Systems merge the
- *    per-shard streams with mergeRecords().
+ *  - One sink per sim::SimContext -- i.e. per simulated system -- and a
+ *    system runs on exactly one host thread, so the hot path is a plain
+ *    bounds-checked append: no locks, no atomics, safe under
+ *    `SweepRunner --jobs=N` because sinks share nothing.
  *  - Disabled tracing costs one inline mask test (the FL_TEVENT macro
  *    mirrors FL_TRACE's guard); nothing is evaluated or stored.
  *  - Recording is capped (default 4M events, ~128 MiB) so a runaway
@@ -70,13 +68,6 @@ enum class EventKind : std::uint16_t
     // Network (Flag::Net)
     NetHop,       //!< instant on the network track: a0 = req id,
                   //!< a1 = latency, aux = msg type
-    // Host shard telemetry (Flag::Host): wall-clock phases of the
-    // parallel driver, drawn on per-shard host tracks alongside the
-    // guest timeline (ticks are the shared x-axis).
-    HostPhase,    //!< duration: tick = quantum start, a0 = quantum end,
-                  //!< a1 = phase ns, aux = HostPhaseKind
-    HostCoord,    //!< instant: coordinator step at a quantum boundary;
-                  //!< a1 = step ns, aux = boundary cause id
     // Assembled request-span stages (Flag::Req).  Synthesized at export
     // time from the spans assembled out of ReqSpan records, never
     // recorded live: one slice per tiled stage, chained with flow
@@ -111,8 +102,6 @@ eventKindFlag(EventKind k)
       case EventKind::ReqDirDone:
       case EventKind::ReqFill: return Flag::Req;
       case EventKind::NetHop: return Flag::Net;
-      case EventKind::HostPhase:
-      case EventKind::HostCoord: return Flag::Host;
       case EventKind::ReqStage: return Flag::Req;
       case EventKind::ReqSpan: return Flag::Span;
       case EventKind::NumKinds: break;
@@ -241,19 +230,10 @@ class TraceSink
     /**
      * Register a component; the id names its timeline track.
      * Idempotent: re-registering an existing name returns its id, so a
-     * sharded System can pre-register one global component list into
-     * every shard sink and ids stay identical across sinks.
+     * System can pre-register its component list in a fixed order and
+     * the components' own registrations return those ids.
      */
     std::uint16_t registerComponent(const std::string &name);
-
-    /**
-     * Copy @p other's aux-name tables for any kind this sink has none
-     * for.  The export/meta sink of a sharded run adopts the tables
-     * components registered into their own shard's sink; tables for
-     * the same kind are identical across components, so first-wins is
-     * exact.
-     */
-    void adoptAuxNames(const TraceSink &other);
 
     const std::vector<std::string> &components() const
     {
@@ -397,7 +377,7 @@ class TraceSink
     std::vector<std::uint64_t> ring_heads_;
 };
 
-/** Which per-sink record stream mergeRecords() reads. */
+/** Which record stream of a sink mergeRecords() reads. */
 enum class Stream
 {
     Trace, //!< the chunked store, ReqSpan records excluded
@@ -406,13 +386,12 @@ enum class Stream
 };
 
 /**
- * The canonical merge of a system's shard sinks: every record of
- * @p stream, stable-sorted by (tick, component id).  Each component
- * records into one sink in time order, so the result is independent
- * of the shard count.  The sinks share one component-id space.
+ * Every record of @p stream in @p sink, in the canonical order: stable-
+ * sorted by (tick, component id), each component's records kept in
+ * recording order.  The trace export, the flight-recorder dumps and
+ * the span assembly all read records in this order.
  */
-std::vector<TraceRecord>
-mergeRecords(const std::vector<const TraceSink *> &sinks, Stream stream);
+std::vector<TraceRecord> mergeRecords(const TraceSink &sink, Stream stream);
 
 } // namespace fenceless::trace
 

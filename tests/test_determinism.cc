@@ -13,16 +13,10 @@
  *  - a randomized schedule/deschedule/reschedule stress confirms the
  *    two-level queue fires events in exactly the documented
  *    (when, priority, stamp) total order, near and far alike;
- *  - a sharded run (SystemConfig::shards >= 2) produces stats,
- *    profile, and flight-recorder documents byte-identical to the
- *    single-threaded reference, for any shard count, inside or outside
- *    a host-parallel sweep;
- *  - cross-shard mailbox drains deliver in the canonical
- *    (arrival, src, chan_seq) order no matter how the mailboxes were
- *    permuted;
- *  - host-waste telemetry (SystemConfig::host_telemetry) keeps its
- *    deterministic counters byte-identical run to run at a fixed shard
- *    count, and changes no guest-visible stat when enabled.
+ *  - the network delivers same-tick arrivals in the canonical
+ *    (arrival, src, chan_seq) order, whatever order they were sent in;
+ *  - every banked directory / topology combination produces stats,
+ *    profile, and flight-recorder documents byte-identical run to run.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +24,7 @@
 #include <deque>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/random.hh"
@@ -56,45 +51,24 @@ runAndRenderStats(const harness::SystemConfig &cfg)
     return os.str();
 }
 
-/**
- * Erase the self-describing `"sim_mode"` stanza from a provenance-
- * stamped document: the one intentional difference between a sharded
- * run's output and the single-threaded reference's.
- */
-std::string
-stripSimMode(std::string s)
-{
-    const std::string key = ", \"sim_mode\": {";
-    for (auto pos = s.find(key); pos != std::string::npos;
-         pos = s.find(key)) {
-        const auto end = s.find('}', pos);
-        EXPECT_NE(end, std::string::npos);
-        if (end == std::string::npos)
-            break;
-        s.erase(pos, end - pos + 1);
-    }
-    return s;
-}
-
 /** Every externally-visible document of one run. */
 struct RunArtifacts
 {
     bool completed = false;
-    std::string stats;        //!< writeStatsJson (sim_mode stripped)
+    std::string stats;        //!< writeStatsJson
     std::string profile_json; //!< profile().writeJson
     std::string folded;       //!< profile().writeFolded
-    std::string blackbox;     //!< writeBlackbox (sim_mode stripped)
+    std::string blackbox;     //!< writeBlackbox
 };
 
-/** Build and run one sharded system; collect all output documents. */
+/** Build and run one banked system; collect all output documents. */
 RunArtifacts
-runSharded(std::uint32_t shards, std::uint32_t dir_banks = 1,
-           mem::Topology topology = mem::Topology::Crossbar)
+runBanked(std::uint32_t dir_banks, mem::Topology topology)
 {
     harness::SystemConfig cfg;
     cfg.num_cores = 8;
     cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withSpeculation().withProfiling().withShards(shards);
+    cfg.withSpeculation().withProfiling();
     cfg.withDirBanks(dir_banks).withTopology(topology);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
@@ -105,7 +79,7 @@ runSharded(std::uint32_t shards, std::uint32_t dir_banks = 1,
     {
         std::ostringstream os;
         sys.writeStatsJson(os);
-        a.stats = stripSimMode(os.str());
+        a.stats = os.str();
     }
     {
         std::ostringstream os;
@@ -120,7 +94,7 @@ runSharded(std::uint32_t shards, std::uint32_t dir_banks = 1,
     {
         std::ostringstream os;
         sys.writeBlackbox(os);
-        a.blackbox = stripSimMode(os.str());
+        a.blackbox = os.str();
     }
     return a;
 }
@@ -309,6 +283,75 @@ TEST(Determinism, CalendarQueueRandomizedOrdering)
 }
 
 // ---------------------------------------------------------------------
+// network ingress: canonical same-tick delivery order
+// ---------------------------------------------------------------------
+
+TEST(Determinism, NetworkIngressOrderCanonical)
+{
+    // A node delivers its arrivals in (arrival tick, source node,
+    // per-channel send sequence) order, whatever order the sends were
+    // made in.  Sources 1..4 send to node 0 in a shuffled order; mixed
+    // control and data sizes make arrivals tie across sources and
+    // queue up within a channel.
+    struct Delivery
+    {
+        mem::NodeId src;
+        std::uint64_t seq; //!< send index on the (src, 0) channel
+        Tick tick;
+    };
+    struct Collector : mem::MsgReceiver
+    {
+        sim::SimContext *ctx = nullptr;
+        std::vector<Delivery> seen;
+        void
+        receiveMsg(const mem::Msg &m) override
+        {
+            seen.push_back({m.src, m.req_id, ctx->curTick()});
+        }
+    };
+
+    sim::SimContext ctx;
+    mem::Network::Params p;
+    p.latency = 4;
+    mem::Network net(ctx, "net", p);
+    Collector sink;
+    sink.ctx = &ctx;
+    net.registerEndpoint(0, &sink);
+
+    std::vector<mem::NodeId> order;
+    for (mem::NodeId s = 1; s <= 4; ++s)
+        order.insert(order.end(), 10, s);
+    Random rng(98765);
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.range(0, i - 1)]);
+    std::vector<std::uint64_t> sent(5, 0);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        mem::Msg m;
+        m.type = i % 3 == 0 ? mem::MsgType::DataM : mem::MsgType::GetS;
+        if (m.type == mem::MsgType::DataM)
+            m.data.assign(64, 0xab);
+        m.src = order[i];
+        m.dst = 0;
+        m.block_addr = 64 * static_cast<Addr>(i);
+        m.req_id = ++sent[m.src];
+        net.send(std::move(m));
+    }
+    ctx.eventq.run();
+
+    ASSERT_EQ(sink.seen.size(), order.size());
+    bool source_tie = false;
+    for (std::size_t i = 1; i < sink.seen.size(); ++i) {
+        const Delivery &a = sink.seen[i - 1];
+        const Delivery &b = sink.seen[i];
+        EXPECT_TRUE(std::tie(a.tick, a.src, a.seq) <
+                    std::tie(b.tick, b.src, b.seq))
+            << "delivery " << i;
+        source_tie |= a.tick == b.tick && a.src != b.src;
+    }
+    EXPECT_TRUE(source_tie) << "no same-tick arrivals to order";
+}
+
+// ---------------------------------------------------------------------
 // idle-sleep stall accounting
 // ---------------------------------------------------------------------
 
@@ -351,350 +394,71 @@ TEST(Determinism, IdleSleepStallAccountingExercised)
 }
 
 // ---------------------------------------------------------------------
-// sharded simulation: byte-identical to the single-threaded reference
-// ---------------------------------------------------------------------
-
-TEST(Determinism, ShardedRunByteIdenticalToReference)
-{
-    const RunArtifacts ref = runSharded(1);
-    EXPECT_TRUE(ref.completed);
-    EXPECT_FALSE(ref.stats.empty());
-    EXPECT_FALSE(ref.profile_json.empty());
-    EXPECT_FALSE(ref.blackbox.empty());
-
-    for (std::uint32_t shards : {2u, 4u}) {
-        const RunArtifacts got = runSharded(shards);
-        EXPECT_EQ(got.completed, ref.completed) << shards << " shards";
-        EXPECT_EQ(got.stats, ref.stats) << shards << " shards";
-        EXPECT_EQ(got.profile_json, ref.profile_json)
-            << shards << " shards";
-        EXPECT_EQ(got.folded, ref.folded) << shards << " shards";
-        EXPECT_EQ(got.blackbox, ref.blackbox) << shards << " shards";
-    }
-}
-
-TEST(Determinism, ShardedRunByteIdenticalInsideParallelSweep)
-{
-    // Shard-level threads must compose with sweep-level threads: the
-    // same shards x jobs grid always lands on the reference output.
-    auto make_tasks = [] {
-        std::vector<std::function<std::string()>> tasks;
-        for (std::uint32_t shards : {1u, 2u, 4u}) {
-            tasks.push_back([shards]() -> std::string {
-                return runSharded(shards).stats;
-            });
-        }
-        return tasks;
-    };
-
-    harness::SweepRunner serial(1);
-    harness::SweepRunner parallel(4);
-    const auto seq = serial.map(make_tasks());
-    const auto par = parallel.map(make_tasks());
-    ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        EXPECT_EQ(seq[i], par[i]) << "task " << i;
-        EXPECT_EQ(seq[i], seq[0]) << "shard count leaked into stats";
-    }
-}
-
-TEST(Determinism, CrossShardDrainOrderCanonical)
-{
-    // Mailbox drains hand arrivals to the network in whatever order the
-    // source shards filled them; the per-node ingress heap must restore
-    // the canonical (arrival, src, chan_seq) delivery order.  Permute
-    // the handoff order randomly and check delivery stays put.
-    Random rng(98765);
-
-    struct Delivery
-    {
-        mem::NodeId src;
-        std::uint64_t req_id;
-        Tick tick;
-
-        bool operator==(const Delivery &) const = default;
-    };
-
-    std::vector<Delivery> reference;
-    for (int round = 0; round < 20; ++round) {
-        sim::SimContext ctx;
-        mem::Network::Params p;
-        p.latency = 4;
-        mem::Network net(ctx, "net", p);
-
-        // Node 0 (the receiver) on shard 0; sender nodes 1..4 on a
-        // different shard, so every send crosses the mailbox.
-        struct Collector : mem::MsgReceiver
-        {
-            sim::SimContext *ctx;
-            std::vector<Delivery> seen;
-            void
-            receiveMsg(const mem::Msg &m) override
-            {
-                seen.push_back({m.src, m.req_id, ctx->curTick()});
-            }
-        };
-        Collector sink;
-        sink.ctx = &ctx;
-        net.bindNode(0, ctx, 0);
-        for (mem::NodeId s = 1; s <= 4; ++s)
-            net.bindNode(s, ctx, 1);
-        net.registerEndpoint(0, &sink);
-
-        std::vector<mem::Network::PendingMsg> mailbox;
-        net.setCrossShardPush(
-            [&](std::uint32_t, std::uint32_t,
-                mem::Network::PendingMsg &&pm) {
-                mailbox.push_back(std::move(pm));
-            });
-
-        // The message pattern is fixed across rounds (only the drain
-        // permutation below varies, via the outer rng).
-        Random msg_rng(4242);
-        std::uint64_t next_id = 0;
-        for (int i = 0; i < 40; ++i) {
-            mem::Msg m;
-            m.type = (i % 3 == 0) ? mem::MsgType::DataM
-                                  : mem::MsgType::GetS;
-            m.src = 1 + static_cast<mem::NodeId>(msg_rng.range(0, 3));
-            m.dst = 0;
-            m.block_addr = 64 * static_cast<Addr>(i);
-            m.req_id = ++next_id;
-            if (m.type == mem::MsgType::DataM)
-                m.data.assign(64, 0xab);
-            net.send(std::move(m));
-        }
-        ASSERT_EQ(mailbox.size(), 40u);
-
-        // The drain order is arbitrary: shuffle before handing over.
-        for (std::size_t i = mailbox.size(); i > 1; --i) {
-            std::swap(mailbox[i - 1],
-                      mailbox[rng.range(0, i - 1)]);
-        }
-        for (auto &pm : mailbox)
-            net.enqueueArrival(std::move(pm));
-        ctx.eventq.run();
-
-        ASSERT_EQ(sink.seen.size(), 40u);
-        if (round == 0) {
-            reference = sink.seen;
-            // Deliveries are tick-monotone and, within a tick, ordered
-            // by source node id.
-            for (std::size_t i = 1; i < reference.size(); ++i) {
-                ASSERT_LE(reference[i - 1].tick, reference[i].tick);
-                if (reference[i - 1].tick == reference[i].tick) {
-                    ASSERT_LE(reference[i - 1].src,
-                              reference[i].src);
-                }
-            }
-        } else {
-            EXPECT_EQ(sink.seen, reference) << "round " << round;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// host-waste telemetry: deterministic fields reproduce; guest output
-// is untouched
+// banked directory x topology: byte-identity at every combination
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** Everything a telemetered sharded run exposes. */
-struct TelemetryRun
-{
-    bool completed = false;
-    std::string stats; //!< writeStatsJson (sim_mode stripped)
-    std::string det;   //!< ShardTelemetry::deterministicJson
-    std::uint64_t events = 0; //!< summed over shards
-    std::uint64_t steps = 0;  //!< coordinator invocations
-};
-
-TelemetryRun
-runTelemetered(std::uint32_t shards)
-{
-    harness::SystemConfig cfg;
-    cfg.num_cores = 8;
-    cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withShards(shards).withHostTelemetry();
-    workload::SpinlockCrit wl;
-    isa::Program prog = wl.build(cfg.num_cores);
-    harness::System sys(cfg, prog);
-    TelemetryRun r;
-    r.completed = sys.run();
-    std::ostringstream os;
-    sys.writeStatsJson(os);
-    r.stats = stripSimMode(os.str());
-    // The indent matches what writeStatsJson's host stanza uses, so
-    // the verbatim-embedding assertion below can compare bytes.
-    r.det = sys.telemetry().deterministicJson("    ");
-    for (std::uint32_t s = 0; s < sys.telemetry().shards(); ++s)
-        r.events += sys.telemetry().slot(s).events;
-    r.steps = sys.telemetry().coord().steps;
-    return r;
-}
-
 /**
- * Erase the stats-json "host" stanza: its wallclock_ns half varies
- * with host scheduling by design, so comparisons against an
- * untelemetered document must drop the stanza wholesale.
+ * Banking and topology change WHAT is simulated (per-bank L2 slices,
+ * DRAM channels, hop-dependent arrivals), so different combinations
+ * legitimately differ; each one must still reproduce every document
+ * byte for byte.  The three tests below keep the names they had when
+ * the same configurations were also compared across shard counts.
  */
-std::string
-stripHostSection(std::string s)
+void
+expectBankedRunsRepeat(mem::Topology topo)
 {
-    const std::string key = ",\n  \"host\": ";
-    const auto pos = s.find(key);
-    if (pos == std::string::npos)
-        return s;
-    const auto end = s.find(",\n  \"snapshots\"", pos);
-    EXPECT_NE(end, std::string::npos);
-    if (end == std::string::npos)
-        return s;
-    s.erase(pos, end - pos);
-    return s;
+    for (std::uint32_t banks : {1u, 4u, 8u}) {
+        const std::string what = std::to_string(banks) + " banks, " +
+                                 mem::topologyName(topo);
+        const RunArtifacts first = runBanked(banks, topo);
+        const RunArtifacts second = runBanked(banks, topo);
+        ASSERT_TRUE(first.completed) << what;
+        ASSERT_TRUE(second.completed) << what;
+        EXPECT_FALSE(first.profile_json.empty()) << what;
+        EXPECT_EQ(second.stats, first.stats) << what;
+        EXPECT_EQ(second.profile_json, first.profile_json) << what;
+        EXPECT_EQ(second.folded, first.folded) << what;
+        EXPECT_EQ(second.blackbox, first.blackbox) << what;
+    }
 }
 
 } // namespace
 
-TEST(Determinism, TelemetryDeterministicFieldsStableRunToRun)
-{
-    const TelemetryRun a = runTelemetered(4);
-    const TelemetryRun b = runTelemetered(4);
-    ASSERT_TRUE(a.completed);
-    ASSERT_TRUE(b.completed);
-    EXPECT_GT(a.events, 0u);
-    EXPECT_GT(a.steps, 0u);
-    // The deterministic half (events, quanta, messages, boundary
-    // causes) is a pure function of the simulation: byte for byte.
-    EXPECT_EQ(a.det, b.det);
-    // And it is embedded verbatim in the stats document, next to (but
-    // never mixed with) the wall-clock half.
-    EXPECT_NE(a.stats.find("\"deterministic\""), std::string::npos);
-    EXPECT_NE(a.stats.find("\"wallclock_ns\""), std::string::npos);
-    EXPECT_NE(a.stats.find(a.det), std::string::npos);
-}
-
-TEST(Determinism, TelemetryLeavesGuestStatsUntouched)
-{
-    // Telemetry on vs off at the same shard count: stripping the
-    // "host" stanza must recover the untelemetered document exactly --
-    // the probes change no guest-visible stat, and the telemetry-off
-    // document itself has no host stanza at all.
-    harness::SystemConfig cfg;
-    cfg.num_cores = 8;
-    cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withShards(4);
-    const std::string off = runAndRenderStats(cfg);
-    EXPECT_EQ(off.find(",\n  \"host\": "), std::string::npos);
-
-    harness::SystemConfig on_cfg = cfg;
-    on_cfg.withHostTelemetry();
-    const std::string on = runAndRenderStats(on_cfg);
-    EXPECT_NE(on.find(",\n  \"host\": "), std::string::npos);
-    EXPECT_EQ(stripHostSection(on), off);
-}
-
-TEST(Determinism, TelemetryOffStatsIdenticalAcrossShardCounts)
-{
-    // Belt and braces over ShardedRunByteIdenticalToReference: the
-    // plain stats document (no profiling) with the percentile fields
-    // in every distribution must not depend on the shard count --
-    // PercentileSketch::merge has to be order-independent for that.
-    harness::SystemConfig cfg;
-    cfg.num_cores = 8;
-    cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withShards(1);
-    const std::string ref = stripSimMode(runAndRenderStats(cfg));
-    EXPECT_NE(ref.find("\"p95\""), std::string::npos);
-    for (std::uint32_t shards : {2u, 4u}) {
-        harness::SystemConfig c = cfg;
-        c.withShards(shards);
-        EXPECT_EQ(stripSimMode(runAndRenderStats(c)), ref)
-            << shards << " shards";
-    }
-}
-
-// ---------------------------------------------------------------------
-// banked directory x sharding: byte-identity at every bank count
-// ---------------------------------------------------------------------
-
 TEST(Determinism, BankedShardedByteIdenticalAcrossShardCounts)
 {
-    // Banking changes WHAT is simulated (per-bank L2 slices, DRAM
-    // channels), so different bank counts legitimately differ; the
-    // guarantee is that at every FIXED bank count, the shard count --
-    // pure host parallelism, including the banked all-shards layout
-    // with banks homed round-robin -- changes nothing.
-    for (std::uint32_t banks : {1u, 4u, 8u}) {
-        const RunArtifacts ref = runSharded(1, banks);
-        ASSERT_TRUE(ref.completed) << banks << " banks";
-        for (std::uint32_t shards : {2u, 4u}) {
-            const RunArtifacts run = runSharded(shards, banks);
-            ASSERT_TRUE(run.completed)
-                << banks << " banks, " << shards << " shards";
-            EXPECT_EQ(run.stats, ref.stats)
-                << banks << " banks, " << shards << " shards";
-            EXPECT_EQ(run.profile_json, ref.profile_json)
-                << banks << " banks, " << shards << " shards";
-            EXPECT_EQ(run.folded, ref.folded)
-                << banks << " banks, " << shards << " shards";
-            EXPECT_EQ(run.blackbox, ref.blackbox)
-                << banks << " banks, " << shards << " shards";
-        }
-    }
+    expectBankedRunsRepeat(mem::Topology::Crossbar);
 }
 
 TEST(Determinism, BankedMeshShardedByteIdenticalToReference)
 {
-    // The full tentpole stack at once: banked directory behind a mesh
-    // NoC, sharded.  Hop-dependent arrival times are sender-computed,
-    // so the canonical ingress order -- and every document -- must
-    // still be shard-count independent.
-    const RunArtifacts ref = runSharded(1, 4, mem::Topology::Mesh);
-    ASSERT_TRUE(ref.completed);
-    for (std::uint32_t shards : {2u, 4u}) {
-        const RunArtifacts run = runSharded(shards, 4,
-                                            mem::Topology::Mesh);
-        ASSERT_TRUE(run.completed) << shards << " shards";
-        EXPECT_EQ(run.stats, ref.stats) << shards << " shards";
-        EXPECT_EQ(run.blackbox, ref.blackbox) << shards << " shards";
-    }
+    expectBankedRunsRepeat(mem::Topology::Mesh);
 }
 
 TEST(Determinism, BankedRingShardedStatsIdentical)
 {
-    const RunArtifacts ref = runSharded(1, 8, mem::Topology::Ring);
-    ASSERT_TRUE(ref.completed);
-    const RunArtifacts run = runSharded(4, 8, mem::Topology::Ring);
-    ASSERT_TRUE(run.completed);
-    EXPECT_EQ(run.stats, ref.stats);
-    EXPECT_EQ(run.profile_json, ref.profile_json);
+    expectBankedRunsRepeat(mem::Topology::Ring);
 }
 
 TEST(Determinism, BankedMesh64CoreEndToEnd)
 {
     // The headline configuration: 64 simulated cores on a 9x8 mesh
-    // with 8 directory banks, sharded.  Light per-core work keeps the
-    // test quick; completion + byte-identity is the point.
-    auto run = [](std::uint32_t shards) {
-        harness::SystemConfig cfg;
-        cfg.num_cores = 64;
-        cfg.model = cpu::ConsistencyModel::TSO;
-        cfg.withDirBanks(8).withTopology(mem::Topology::Mesh);
-        cfg.withShards(shards);
-        workload::LocalLockStream::Params p;
-        p.iters = 8;
-        workload::LocalLockStream wl(p);
-        isa::Program prog = wl.build(cfg.num_cores);
-        harness::System sys(cfg, prog);
-        EXPECT_TRUE(sys.run()) << shards << " shards";
-        std::ostringstream os;
-        sys.writeStatsJson(os);
-        return stripSimMode(os.str());
-    };
-    const std::string ref = run(1);
-    EXPECT_NE(ref.find("l2dir.bank7"), std::string::npos);
-    EXPECT_NE(ref.find("network.hops"), std::string::npos);
-    EXPECT_EQ(run(4), ref);
+    // with 8 directory banks.  Light per-core work keeps the test
+    // quick; completion and the per-bank / per-hop stats are the point.
+    harness::SystemConfig cfg;
+    cfg.num_cores = 64;
+    cfg.model = cpu::ConsistencyModel::TSO;
+    cfg.withDirBanks(8).withTopology(mem::Topology::Mesh);
+    workload::LocalLockStream::Params p;
+    p.iters = 8;
+    workload::LocalLockStream wl(p);
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System sys(cfg, prog);
+    EXPECT_TRUE(sys.run());
+    std::ostringstream os;
+    sys.writeStatsJson(os);
+    EXPECT_NE(os.str().find("l2dir.bank7"), std::string::npos);
+    EXPECT_NE(os.str().find("network.hops"), std::string::npos);
 }

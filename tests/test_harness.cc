@@ -86,36 +86,6 @@ TEST(Options, UnknownOptionIsFatal)
                 "unknown option");
 }
 
-TEST(Options, ParallelSimAndShards)
-{
-    // Explicit shard count.
-    SystemConfig cfg =
-        parse({"--cores=8", "--shards=4"}).applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.shards, 4u);
-
-    // --parallel-sim=0 wins over --shards: the reference mode.
-    cfg = parse({"--cores=8", "--parallel-sim=0", "--shards=4"})
-              .applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.shards, 1u);
-
-    // --parallel-sim alone picks a host-sized default within the
-    // finest partition (cores + 1).
-    cfg = parse({"--cores=4", "--parallel-sim=1"})
-              .applyTo(SystemConfig{});
-    EXPECT_GE(cfg.shards, 1u);
-    EXPECT_LE(cfg.shards, 5u);
-
-    // Validation is non-fatal: garbage warns and falls back.
-    cfg = parse({"--cores=4", "--shards=lots"})
-              .applyTo(SystemConfig{});
-    EXPECT_GE(cfg.shards, 1u);
-    EXPECT_LE(cfg.shards, 5u);
-
-    // Over-sharding clamps to the finest partition.
-    cfg = parse({"--cores=2", "--shards=64"}).applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.shards, 3u);
-}
-
 TEST(Options, TopologyAndBankingFlags)
 {
     SystemConfig cfg = parse({"--topology=mesh", "--hop-latency=5",
@@ -128,13 +98,15 @@ TEST(Options, TopologyAndBankingFlags)
     cfg = parse({"--topology=ring"}).applyTo(SystemConfig{});
     EXPECT_EQ(cfg.net.topology, mem::Topology::Ring);
 
-    // Bad bank counts warn and round down rather than aborting.
-    cfg = parse({"--dir-banks=6"}).applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.dir_banks, 4u);
-    cfg = parse({"--dir-banks=0"}).applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.dir_banks, 1u);
-    cfg = parse({"--dir-banks=128"}).applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.dir_banks, 64u);
+    // The bank count changes the simulated machine, so a bad one is
+    // refused like a bad topology, never rounded to another machine.
+    for (const char *arg : {"--dir-banks=6", "--dir-banks=0",
+                            "--dir-banks=128"}) {
+        EXPECT_EXIT(parse({arg}).applyTo(SystemConfig{}),
+                    testing::ExitedWithCode(1),
+                    "fatal: directory banks must be a power of two")
+            << arg;
+    }
 }
 
 TEST(Options, UnknownTopologyIsFatal)
@@ -153,12 +125,10 @@ TEST(Options, SimModeEchoedIntoProvenance)
     as.halt();
     isa::Program prog = as.finish();
 
-    harness::SystemConfig cfg = testConfig(2);
-    cfg.shards = 2;
-    harness::System sys(cfg, prog);
+    harness::System sys(testConfig(2), prog);
     ASSERT_TRUE(sys.run());
     EXPECT_NE(sys.provenanceJson().find(
-                  "\"sim_mode\": {\"parallel_sim\": 1, \"shards\": 2, "
+                  "\"sim_mode\": {\"parallel_sim\": 0, \"shards\": 1, "
                   "\"dir_banks\": 1, \"topology\": \"crossbar\"}"),
               std::string::npos);
 
@@ -169,13 +139,6 @@ TEST(Options, SimModeEchoedIntoProvenance)
         (sys.*write)(os);
         EXPECT_NE(os.str().find("\"sim_mode\""), std::string::npos);
     }
-
-    harness::System ref(testConfig(2), prog);
-    ASSERT_TRUE(ref.run());
-    EXPECT_NE(ref.provenanceJson().find(
-                  "\"sim_mode\": {\"parallel_sim\": 0, \"shards\": 1, "
-                  "\"dir_banks\": 1, \"topology\": \"crossbar\"}"),
-              std::string::npos);
 }
 
 TEST(Options, BadNumberIsFatal)
@@ -205,11 +168,22 @@ TEST(Options, BadNumberIsFatal)
                     "fatal: option --.* is out of range")
             << arg;
     }
+    // Numbers that parse but name a machine the simulator cannot
+    // build are refused up front instead of panicking (or, for
+    // --scale=0, spinning) later.
+    for (const std::vector<std::string> &args :
+         std::vector<std::vector<std::string>>{
+             {"--cores=0"}, {"--cores=65"}, {"--sb-size=0"},
+             {"--l1-kb=0"}, {"--l1-kb=3"}, {"--l2-kb=3000"},
+             {"--hop-latency=0", "--topology=mesh"}, {"--scale=0"}}) {
+        EXPECT_EXIT(parse(args).applyTo(SystemConfig{}),
+                    testing::ExitedWithCode(1), "fatal: ")
+            << args.front();
+    }
     // The largest values the fields hold are still accepted.
-    const SystemConfig cfg =
-        parse({"--cores=4294967295", "--blackbox=1048576"})
-            .applyTo(SystemConfig{});
-    EXPECT_EQ(cfg.num_cores, 4294967295u);
+    const SystemConfig cfg = parse({"--cores=64", "--blackbox=1048576"})
+                                 .applyTo(SystemConfig{});
+    EXPECT_EQ(cfg.num_cores, 64u);
     EXPECT_EQ(cfg.blackbox_records, 1048576u);
 }
 
@@ -301,72 +275,4 @@ TEST(SystemQueries, TimeoutReported)
     cfg.max_cycles = 5000;
     harness::System sys(cfg, prog);
     EXPECT_FALSE(sys.run());
-}
-
-TEST(Options, ShardReportAndHostTelemetry)
-{
-    // Off by default: the telemetry probes must stay out of runs that
-    // never asked for them.
-    SystemConfig cfg = parse({}).applyTo(SystemConfig{});
-    EXPECT_FALSE(cfg.host_telemetry);
-
-    // --shard-report implies the telemetry that feeds it.
-    cfg = parse({"--cores=8", "--shards=4", "--shard-report"})
-              .applyTo(SystemConfig{});
-    EXPECT_TRUE(cfg.host_telemetry);
-    EXPECT_TRUE(parse({"--shard-report"}).shardReport());
-
-    // --host-telemetry without a report: stats-json / trace only.
-    cfg = parse({"--host-telemetry"}).applyTo(SystemConfig{});
-    EXPECT_TRUE(cfg.host_telemetry);
-    EXPECT_FALSE(parse({"--host-telemetry"}).shardReport());
-
-    // Explicitly disabled.
-    cfg = parse({"--host-telemetry=0"}).applyTo(SystemConfig{});
-    EXPECT_FALSE(cfg.host_telemetry);
-}
-
-TEST(SystemQueries, ShardReportRendersInlineDriver)
-{
-    // shards=1 runs the quantum driver inline (no threads, no
-    // barriers); the report must still render real quantum counts so
-    // single-shard baselines are comparable against sharded runs.
-    isa::Assembler as;
-    as.nop();
-    as.halt();
-    isa::Program prog = as.finish();
-
-    harness::SystemConfig cfg = testConfig(2);
-    cfg.withHostTelemetry();
-    harness::System sys(cfg, prog);
-    ASSERT_TRUE(sys.run());
-    ASSERT_TRUE(sys.telemetry().enabled());
-    EXPECT_EQ(sys.telemetry().shards(), 1u);
-    EXPECT_GT(sys.telemetry().slot(0).events, 0u);
-
-    std::ostringstream os;
-    sys.writeShardReport(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("shard report"), std::string::npos);
-    EXPECT_NE(out.find("utilization"), std::string::npos);
-    EXPECT_NE(out.find("boundary causes"), std::string::npos);
-    // One row for the only shard, with a non-zero event count.
-    EXPECT_NE(out.find("shard0"), std::string::npos) << out;
-    EXPECT_NE(
-        out.find(std::to_string(sys.telemetry().slot(0).events)),
-        std::string::npos)
-        << out;
-}
-
-TEST(SystemQueries, ShardReportWithoutTelemetryPrintsNotice)
-{
-    isa::Assembler as;
-    as.halt();
-    isa::Program prog = as.finish();
-
-    harness::System sys(testConfig(1), prog);
-    ASSERT_TRUE(sys.run());
-    std::ostringstream os;
-    sys.writeShardReport(os);
-    EXPECT_NE(os.str().find("telemetry"), std::string::npos);
 }

@@ -178,7 +178,7 @@ TEST(TraceSink, ExportsWellFormedChromeJson)
 
     std::ostringstream os;
     sink.exportChromeJson(
-        os, trace::mergeRecords({&sink}, trace::Stream::Trace),
+        os, trace::mergeRecords(sink, trace::Stream::Trace),
         sink.dropped());
     const std::string json = os.str();
 

@@ -4,10 +4,10 @@
  *
  * The guarantees under test, in the order the ISSUE states them:
  *
- *  - sampling is a pure function of the shard-invariant request id, so
- *    the traced set -- and every derived artifact (stage-attribution
- *    table, top-K dossiers, "tailtrace" stat group) -- is
- *    byte-identical across --shards and --jobs values;
+ *  - sampling is a pure function of the request id, so the traced set
+ *    -- and every derived artifact (stage-attribution table, top-K
+ *    dossiers, "tailtrace" stat group) -- is byte-identical across
+ *    --jobs values;
  *  - spans record stage-boundary events only, so the per-stage cycle
  *    sums tile the end-to-end latency EXACTLY, span by span and in the
  *    aggregate reconciliation line of --tail-report;
@@ -260,16 +260,16 @@ TEST(SpanEncoding, DroppedBoundariesCountAsIncomplete)
         EXPECT_EQ(sink.dropped(), 2u);
         EXPECT_EQ(sink.lostFrom(), 40u);
         const SpanSet set = assembleSpans(
-            trace::mergeRecords({&sink}, trace::Stream::Spans),
+            trace::mergeRecords(sink, trace::Stream::Spans),
             sink.lostFrom());
         ASSERT_EQ(set.spans.size(), 1u);
         EXPECT_EQ(set.spans[0].req_id, 1u);
         EXPECT_EQ(set.incomplete, 2u);
     }
-    // Two sinks (an L1 shard and a directory shard): the directory's
-    // cap drops the middle of a span whose ends the L1 kept.  Tiling
-    // what survived would charge the directory's cycles to ReqNet;
-    // the span is counted incomplete instead.
+    // A record stream whose middle was dropped while both ends
+    // survived, joined from two sinks by hand.  Tiling what survived
+    // would charge the directory's cycles to ReqNet; the span reaches
+    // the first lost tick and is counted incomplete instead.
     {
         trace::TraceSink l1_sink;
         trace::TraceSink dir_sink(2);
@@ -288,12 +288,15 @@ TEST(SpanEncoding, DroppedBoundariesCountAsIncomplete)
         recordSpan(dir_sink, dir, 38, 2, Stage::ReplyNet, 0x80);
         recordSpan(l1_sink, l1, 40, 2, Stage::Done, 0x80);
         EXPECT_EQ(dir_sink.dropped(), 2u);
-        const Tick lost_from =
-            std::min(l1_sink.lostFrom(), dir_sink.lostFrom());
+        std::vector<trace::TraceRecord> records =
+            trace::mergeRecords(l1_sink, trace::Stream::Spans);
+        const std::vector<trace::TraceRecord> dir_records =
+            trace::mergeRecords(dir_sink, trace::Stream::Spans);
+        records.insert(records.end(), dir_records.begin(),
+                       dir_records.end());
         const SpanSet set = assembleSpans(
-            trace::mergeRecords({&l1_sink, &dir_sink},
-                                trace::Stream::Spans),
-            lost_from);
+            std::move(records),
+            std::min(l1_sink.lostFrom(), dir_sink.lostFrom()));
         ASSERT_EQ(set.spans.size(), 1u);
         EXPECT_EQ(set.spans[0].req_id, 1u);
         EXPECT_EQ(set.spans[0].stages.size(), 3u);
@@ -457,44 +460,28 @@ namespace
 struct TailRun
 {
     bool completed = false;
-    std::string stats;    //!< writeStatsJson (sim_mode stripped)
+    std::string stats;    //!< writeStatsJson
     std::string report;   //!< writeTailReport
     std::string outliers; //!< writeOutliers
     std::string trace;    //!< exportTrace
 };
 
-/** Erase the self-describing "sim_mode" stanza (varies with shards). */
-std::string
-stripSimMode(std::string s)
-{
-    const std::string key = ", \"sim_mode\": {";
-    for (auto pos = s.find(key); pos != std::string::npos;
-         pos = s.find(key)) {
-        const auto end = s.find('}', pos);
-        EXPECT_NE(end, std::string::npos);
-        if (end == std::string::npos)
-            break;
-        s.erase(pos, end - pos + 1);
-    }
-    return s;
-}
-
 harness::SystemConfig
-tailConfig(std::uint32_t shards, std::uint64_t period)
+tailConfig(std::uint64_t period)
 {
     harness::SystemConfig cfg;
     cfg.num_cores = 8;
     cfg.model = cpu::ConsistencyModel::TSO;
-    cfg.withSpeculation().withShards(shards);
+    cfg.withSpeculation();
     if (period)
         cfg.withTailTrace(period, 5);
     return cfg;
 }
 
 TailRun
-runTail(std::uint32_t shards, std::uint64_t period)
+runTail(std::uint64_t period)
 {
-    const harness::SystemConfig cfg = tailConfig(shards, period);
+    const harness::SystemConfig cfg = tailConfig(period);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);
@@ -503,7 +490,7 @@ runTail(std::uint32_t shards, std::uint64_t period)
     {
         std::ostringstream os;
         sys.writeStatsJson(os);
-        r.stats = stripSimMode(os.str());
+        r.stats = os.str();
     }
     {
         std::ostringstream os;
@@ -513,12 +500,12 @@ runTail(std::uint32_t shards, std::uint64_t period)
     {
         std::ostringstream os;
         sys.writeOutliers(os);
-        r.outliers = stripSimMode(os.str());
+        r.outliers = os.str();
     }
     {
         std::ostringstream os;
         sys.exportTrace(os);
-        r.trace = stripSimMode(os.str());
+        r.trace = os.str();
     }
     return r;
 }
@@ -530,7 +517,7 @@ TEST(TailTrace, EveryMissReconcilesExactly)
     // period 1: every miss traced; each span's stage cycles must sum
     // to its end-to-end latency, and the aggregate attribution must
     // reconcile to the cycle.
-    const harness::SystemConfig cfg = tailConfig(1, 1);
+    const harness::SystemConfig cfg = tailConfig(1);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);
@@ -561,48 +548,18 @@ TEST(TailTrace, EveryMissReconcilesExactly)
     EXPECT_EQ(os.str().find("MISMATCH"), std::string::npos) << os.str();
 }
 
-TEST(TailTrace, ArtifactsByteIdenticalAcrossShardCounts)
-{
-    const TailRun ref = runTail(1, 1);
-    ASSERT_TRUE(ref.completed);
-    EXPECT_NE(ref.stats.find("\"tailtrace\""), std::string::npos);
-    EXPECT_NE(ref.report.find("=== tail report"), std::string::npos);
-    EXPECT_NE(ref.outliers.find("\"outliers\""), std::string::npos);
-    for (std::uint32_t shards : {2u, 4u}) {
-        const TailRun got = runTail(shards, 1);
-        ASSERT_TRUE(got.completed) << shards << " shards";
-        EXPECT_EQ(got.stats, ref.stats) << shards << " shards";
-        EXPECT_EQ(got.report, ref.report) << shards << " shards";
-        EXPECT_EQ(got.outliers, ref.outliers) << shards << " shards";
-        EXPECT_EQ(got.trace, ref.trace) << shards << " shards";
-    }
-}
-
-TEST(TailTrace, SampledSubsetByteIdenticalAcrossShardCounts)
-{
-    // The interesting period: a proper subset of misses is traced, so
-    // identity requires the SAME requests to be picked on every shard
-    // layout -- ids must be shard-invariant, not just counts.
-    const TailRun ref = runTail(1, 4);
-    ASSERT_TRUE(ref.completed);
-    for (std::uint32_t shards : {2u, 4u}) {
-        const TailRun got = runTail(shards, 4);
-        EXPECT_EQ(got.report, ref.report) << shards << " shards";
-        EXPECT_EQ(got.outliers, ref.outliers) << shards << " shards";
-        EXPECT_EQ(got.stats, ref.stats) << shards << " shards";
-    }
-}
-
 TEST(TailTrace, ByteIdenticalInsideParallelSweep)
 {
     // Span tracing composes with sweep-level host parallelism: the
-    // same tasks under --jobs=1 and --jobs=4 produce the same bytes.
+    // same tasks under --jobs=1 and --jobs=4 produce the same bytes,
+    // both with every miss traced and with a sampled subset (where the
+    // same requests must be picked whichever worker runs the task).
     auto make_tasks = [] {
         std::vector<std::function<std::string()>> tasks;
-        for (std::uint32_t shards : {1u, 2u, 4u}) {
-            tasks.push_back([shards]() -> std::string {
-                const TailRun r = runTail(shards, 1);
-                return r.report + r.outliers;
+        for (std::uint64_t period : {1u, 2u, 4u, 8u}) {
+            tasks.push_back([period]() -> std::string {
+                const TailRun r = runTail(period);
+                return r.stats + r.report + r.outliers + r.trace;
             });
         }
         return tasks;
@@ -612,16 +569,15 @@ TEST(TailTrace, ByteIdenticalInsideParallelSweep)
     const auto seq = serial.map(make_tasks());
     const auto par = parallel.map(make_tasks());
     ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
+    for (std::size_t i = 0; i < seq.size(); ++i)
         EXPECT_EQ(seq[i], par[i]) << "task " << i;
-        EXPECT_EQ(seq[i], seq[0]) << "shard count leaked";
-    }
+    EXPECT_NE(seq[0], seq[3]) << "sampling period had no effect";
 }
 
 TEST(TailTrace, TopKDossiersDeterministicAndOrdered)
 {
-    const TailRun a = runTail(2, 1);
-    const TailRun b = runTail(2, 1);
+    const TailRun a = runTail(1);
+    const TailRun b = runTail(1);
     ASSERT_TRUE(a.completed);
     EXPECT_EQ(a.outliers, b.outliers);
 
@@ -645,7 +601,7 @@ TEST(TailTrace, TopKDossiersDeterministicAndOrdered)
 
 TEST(TailTrace, PerfettoExportCarriesSpanStages)
 {
-    const TailRun r = runTail(1, 1);
+    const TailRun r = runTail(1);
     ASSERT_TRUE(r.completed);
     // Stage slices render under the recording component's track with
     // the stage name, chained by "span"-category flow arrows.
@@ -658,7 +614,7 @@ TEST(TailTrace, TraceOutCarriesNoRawSpanRecords)
     // Every --trace kind on, every miss sampled: the sink holds the
     // raw ReqSpan boundaries, yet the exported document shows only the
     // assembled ReqStage slices.
-    harness::SystemConfig cfg = tailConfig(2, 1);
+    harness::SystemConfig cfg = tailConfig(1);
     cfg.trace_mask = static_cast<std::uint32_t>(trace::Flag::All);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
@@ -681,7 +637,7 @@ TEST(TailTrace, BlackboxIdenticalWithSpansOnAndOff)
     // Span boundaries never enter the flight-recorder ring, so the
     // dump and the tail are the same bytes whether sampling is on.
     auto dumps = [](std::uint64_t period) {
-        const harness::SystemConfig cfg = tailConfig(1, period);
+        const harness::SystemConfig cfg = tailConfig(period);
         workload::SpinlockCrit wl;
         isa::Program prog = wl.build(cfg.num_cores);
         harness::System sys(cfg, prog);
@@ -704,7 +660,7 @@ TEST(TailTrace, BlackboxIdenticalWithSpansOnAndOff)
 
 TEST(TailTrace, OffModeContributesZeroOutputBytes)
 {
-    const TailRun off = runTail(1, 0);
+    const TailRun off = runTail(0);
     ASSERT_TRUE(off.completed);
     EXPECT_EQ(off.stats.find("tailtrace"), std::string::npos);
     EXPECT_EQ(off.trace.find("req_stage"), std::string::npos);
@@ -720,7 +676,7 @@ TEST(TailTrace, OffModeContributesZeroOutputBytes)
 
 TEST(TailTrace, StatGroupMatchesAssembledSpans)
 {
-    const harness::SystemConfig cfg = tailConfig(4, 1);
+    const harness::SystemConfig cfg = tailConfig(1);
     workload::SpinlockCrit wl;
     isa::Program prog = wl.build(cfg.num_cores);
     harness::System sys(cfg, prog);
