@@ -254,6 +254,29 @@ banner(const std::string &id, const std::string &title)
 }
 
 /**
+ * Write one artefact: open @p path, or report it against --@p option
+ * and fail; otherwise run @p write on the stream and print @p done,
+ * when non-empty, to stderr.
+ * @return false if the file could not be opened
+ */
+template <typename Write>
+bool
+writeArtifact(const char *option, const std::string &path, Write write,
+              const std::string &done)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::cerr << "error: cannot open --" << option << " file '"
+                  << path << "'\n";
+        return false;
+    }
+    write(os);
+    if (!done.empty())
+        std::cerr << done << "\n";
+    return true;
+}
+
+/**
  * Write the waste-profile artefacts requested on the command line:
  * `--profile-out=FILE` (JSON, plus FILE.folded with flamegraph folded
  * stacks) and `--waste-report` (top-N table on stdout).  No-op when
@@ -267,23 +290,15 @@ writeProfileArtifacts(const prof::Profile &profile,
                       const harness::Options &opts)
 {
     if (const std::string path = opts.profileOut(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --profile-out file '"
-                      << path << "'\n";
+        const std::string folded = path + ".folded";
+        if (!writeArtifact(
+                "profile-out", path,
+                [&](std::ostream &os) { profile.writeJson(os); }, "") ||
+            !writeArtifact(
+                "profile-out", folded,
+                [&](std::ostream &os) { profile.writeFolded(os); },
+                "profile written to " + path + " and " + folded))
             return false;
-        }
-        profile.writeJson(os);
-        const std::string folded_path = path + ".folded";
-        std::ofstream folded(folded_path);
-        if (!folded) {
-            std::cerr << "error: cannot open --profile-out file '"
-                      << folded_path << "'\n";
-            return false;
-        }
-        profile.writeFolded(folded);
-        std::cerr << "profile written to " << path << " and "
-                  << folded_path << "\n";
     }
     if (opts.wasteReport())
         profile.writeReport(std::cout);
@@ -304,48 +319,33 @@ inline bool
 writeObservability(const harness::System &sys,
                    const harness::Options &opts)
 {
-    if (const std::string path = opts.traceOut(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --trace-out file '"
-                      << path << "'\n";
-            return false;
-        }
-        sys.exportTrace(os);
-        std::cerr << "trace written to " << path
-                  << " (open in ui.perfetto.dev)\n";
-    }
-    if (const std::string path = opts.statsJson(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --stats-json file '"
-                      << path << "'\n";
-            return false;
-        }
-        sys.writeStatsJson(os);
-        std::cerr << "stats written to " << path << "\n";
-    }
-    if (const std::string path = opts.blackboxOut(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --blackbox-out file '"
-                      << path << "'\n";
-            return false;
-        }
-        sys.writeBlackbox(os);
-        std::cerr << "flight recorder written to " << path
-                  << " (open in ui.perfetto.dev)\n";
-    }
-    if (const std::string path = opts.outliersOut(); !path.empty()) {
-        std::ofstream os(path);
-        if (!os) {
-            std::cerr << "error: cannot open --outliers-out file '"
-                      << path << "'\n";
-            return false;
-        }
-        sys.writeOutliers(os);
-        std::cerr << "outlier dossiers written to " << path << "\n";
-    }
+    if (const std::string path = opts.traceOut();
+        !path.empty() &&
+        !writeArtifact(
+            "trace-out", path,
+            [&](std::ostream &os) { sys.exportTrace(os); },
+            "trace written to " + path + " (open in ui.perfetto.dev)"))
+        return false;
+    if (const std::string path = opts.statsJson();
+        !path.empty() &&
+        !writeArtifact(
+            "stats-json", path,
+            [&](std::ostream &os) { sys.writeStatsJson(os); },
+            "stats written to " + path))
+        return false;
+    if (const std::string path = opts.blackboxOut();
+        !path.empty() &&
+        !writeArtifact("blackbox-out", path,
+                       [&](std::ostream &os) { sys.writeBlackbox(os); },
+                       "flight recorder written to " + path +
+                           " (open in ui.perfetto.dev)"))
+        return false;
+    if (const std::string path = opts.outliersOut();
+        !path.empty() &&
+        !writeArtifact("outliers-out", path,
+                       [&](std::ostream &os) { sys.writeOutliers(os); },
+                       "outlier dossiers written to " + path))
+        return false;
     if (opts.profiling() && !writeProfileArtifacts(sys.profile(), opts))
         return false;
     if (opts.tailReport())

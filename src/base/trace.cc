@@ -1,35 +1,9 @@
 #include "base/trace.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <iomanip>
-#include <iostream>
-#include <mutex>
 #include <sstream>
-
-#include "base/logging.hh"
 
 namespace fenceless::trace
 {
-
-namespace
-{
-
-// The mask and stream are process-wide but read from every simulation
-// thread of a parallel sweep, so they are atomics; emit() serialises
-// under a mutex so concurrent runs never interleave half-lines.
-std::atomic<std::uint32_t> enabled_mask{0};
-std::atomic<std::ostream *> stream{nullptr};
-std::mutex emit_mutex;
-
-std::ostream &
-out()
-{
-    std::ostream *os = stream.load(std::memory_order_acquire);
-    return os ? *os : std::cout;
-}
-
-} // namespace
 
 namespace
 {
@@ -107,49 +81,5 @@ parseFlags(const std::string &spec, std::uint32_t &mask,
     mask = parsed;
     return true;
 }
-
-void
-setEnabled(std::uint32_t mask)
-{
-    enabled_mask.store(mask, std::memory_order_release);
-}
-
-std::uint32_t
-enabled()
-{
-    return enabled_mask.load(std::memory_order_relaxed);
-}
-
-void
-setStream(std::ostream *os)
-{
-    stream.store(os, std::memory_order_release);
-}
-
-void
-initFromEnv()
-{
-    if (const char *env = std::getenv("FENCELESS_TRACE")) {
-        std::uint32_t mask = 0;
-        std::string error;
-        if (parseFlags(env, mask, error))
-            setEnabled(mask);
-        else
-            warn("FENCELESS_TRACE ignored: ", error);
-    }
-}
-
-namespace detail
-{
-
-void
-emit(Flag, Tick tick, const std::string &who, const std::string &msg)
-{
-    std::lock_guard<std::mutex> lock(emit_mutex);
-    out() << std::setw(10) << tick << ": " << who << ": " << msg
-          << "\n";
-}
-
-} // namespace detail
 
 } // namespace fenceless::trace

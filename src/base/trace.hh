@@ -1,25 +1,16 @@
 /**
  * @file
- * Lightweight debug tracing (DPRINTF-style).
+ * Trace flags: the event families the structured tracer records.
  *
- * Components emit trace points tagged with a flag; nothing is formatted
- * unless the flag is enabled, so tracing is free when off.  Enable
- * programmatically or via the FENCELESS_TRACE environment variable
- * (comma-separated flag names, e.g. `FENCELESS_TRACE=l1,spec`).
- *
- *     FL_TRACE(trace::Flag::L1, *this, "fill 0x", std::hex, addr);
- *
- * prints `  12345: l1_0: fill 0x1040` to the trace stream.
+ * A Flag names one family of TraceSink records (sim/trace_sink.hh);
+ * `--trace=core,l1,spec` parses into the sink's mask through
+ * parseFlags().  Recording itself lives in the sink.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <ostream>
-#include <sstream>
 #include <string>
-
-#include "base/types.hh"
 
 namespace fenceless::trace
 {
@@ -53,60 +44,4 @@ std::string validFlagNames();
 bool parseFlags(const std::string &spec, std::uint32_t &mask,
                 std::string &error);
 
-/** Enable the given flags (bitwise or of Flag values). */
-void setEnabled(std::uint32_t mask);
-
-/** Currently enabled mask. */
-std::uint32_t enabled();
-
-/** @return true if @p f is enabled. */
-inline bool
-isEnabled(Flag f)
-{
-    return (enabled() & static_cast<std::uint32_t>(f)) != 0;
-}
-
-/** Redirect trace output (default std::cout); nullptr restores it. */
-void setStream(std::ostream *os);
-
-/**
- * Initialise from the FENCELESS_TRACE environment variable.  A typo in
- * the variable must not kill a whole sweep, so unknown names only warn
- * (listing the valid flags) and leave the mask unchanged.
- */
-void initFromEnv();
-
-namespace detail
-{
-
-void emit(Flag f, Tick tick, const std::string &who,
-          const std::string &msg);
-
-/** Stream every argument (fold), so FL_TRACE's commas compose. */
-template <typename... Args>
-void
-streamAll(std::ostream &os, Args &&...args)
-{
-    (os << ... << std::forward<Args>(args));
-}
-
-} // namespace detail
-
 } // namespace fenceless::trace
-
-/**
- * Emit a trace point.  @p obj must provide name() and curTick()
- * (every SimObject does).  Arguments are streamed; nothing is
- * evaluated when the flag is disabled.
- */
-#define FL_TRACE(flag, obj, ...)                                       \
-    do {                                                               \
-        if (fenceless::trace::isEnabled(flag)) {                       \
-            std::ostringstream fl_trace_os_;                           \
-            fenceless::trace::detail::streamAll(fl_trace_os_,          \
-                                                __VA_ARGS__);          \
-            fenceless::trace::detail::emit(flag, (obj).curTick(),      \
-                                           (obj).name(),               \
-                                           fl_trace_os_.str());        \
-        }                                                              \
-    } while (0)

@@ -113,12 +113,6 @@ SystemConfig::check() const
 System::System(const SystemConfig &config, const isa::Program &prog)
     : config_(config), prog_(prog)
 {
-    static const bool trace_initialised = [] {
-        trace::initFromEnv();
-        return true;
-    }();
-    (void)trace_initialised;
-
     const std::string bad = config_.check();
     flAssert(bad.empty(), bad);
 

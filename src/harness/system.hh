@@ -374,8 +374,8 @@ class System
      * The build-provenance JSON embedded in stats/trace/blackbox
      * output, extended with a "sim_mode" stanza recording the machine
      * shape (dir_banks, topology).  Its "parallel_sim": 0 and
-     * "shards": 1 fields are constant; they keep the stanza readable by
-     * tools that compare against archived sharded runs.
+     * "shards": 1 fields are constant and no tool reads them; they
+     * stay only so that every artifact keeps its bytes.
      */
     std::string provenanceJson() const;
 

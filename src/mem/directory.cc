@@ -1,6 +1,5 @@
 #include "mem/directory.hh"
 
-#include <sstream>
 
 #include "base/logging.hh"
 #include "base/trace.hh"
@@ -98,8 +97,6 @@ Directory::receiveMsg(const Msg &msg)
 void
 Directory::dispatch(const Msg &msg)
 {
-    FL_TRACE(trace::Flag::Dir, *this, "dispatch ", msg.toString(),
-             (active_.count(msg.block_addr) ? " (queued)" : ""));
     if (active_.count(msg.block_addr)) {
         pending_[msg.block_addr].push_back(QueuedReq{curTick(), msg});
         ++total_pending_;
@@ -493,9 +490,6 @@ Directory::ensurePresent(Txn &txn, Addr block_addr)
 void
 Directory::startRecall(Addr victim_addr, const Msg &blocked_req)
 {
-    FL_TRACE(trace::Flag::Dir, *this, "recall 0x", std::hex,
-             victim_addr, " to make room for 0x",
-             blocked_req.block_addr);
     ++stat_recalls_;
     flAssert(!active_.count(victim_addr),
              name(), ": recalling a busy block");

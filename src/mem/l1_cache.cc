@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include <sstream>
 
 #include "base/logging.hh"
 #include "base/trace.hh"
@@ -241,8 +240,6 @@ void
 L1Cache::handleMiss(MemRequest req, bool want_m)
 {
     const Addr block_addr = array_.blockAlign(req.addr);
-    FL_TRACE(trace::Flag::L1, *this, "miss 0x", std::hex, block_addr,
-             (want_m ? " (GetM)" : " (GetS)"));
     flAssert(mshrs_.size() < params_.num_mshrs, name(),
              ": out of MSHRs (", params_.num_mshrs, ") - the core model "
              "should bound outstanding misses");
@@ -520,8 +517,6 @@ L1Cache::evict(L1Block &victim)
 {
     flAssert(!srValid(victim) && !swValid(victim),
              name(), ": evicting a block with live speculation tags");
-    FL_TRACE(trace::Flag::L1, *this, "evict 0x", std::hex,
-             victim.block_addr, " from ", l1StateName(victim.state));
     ++stat_evictions_;
 
     WbEntry wb;
@@ -574,7 +569,6 @@ L1Cache::findWb(Addr block_addr)
 void
 L1Cache::receiveMsg(const Msg &msg)
 {
-    FL_TRACE(trace::Flag::L1, *this, "recv ", msg.toString());
     switch (msg.type) {
       case MsgType::DataS:
       case MsgType::DataE:

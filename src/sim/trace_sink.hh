@@ -2,16 +2,14 @@
  * @file
  * Structured binary event tracing with a Chrome trace-event exporter.
  *
- * FL_TRACE prints formatted text -- fine for eyeballing a short run,
- * useless for timelines.  The TraceSink instead records *typed* binary
- * events (tick, component id, event kind, two payload words) into
- * chunked in-memory buffers, and converts them on demand to Chrome
- * trace-event / Perfetto JSON (`--trace-out=run.json`, open in
- * `ui.perfetto.dev`): per-core duration events for speculation epochs
- * and stall intervals, instant events for rollbacks (with cause),
- * counter events for instruction commit, and cross-component flow
- * events following one memory request from L1 miss through the
- * directory back to the fill.
+ * The TraceSink records *typed* binary events (tick, component id,
+ * event kind, two payload words) into chunked in-memory buffers, and
+ * converts them on demand to Chrome trace-event / Perfetto JSON
+ * (`--trace-out=run.json`, open in `ui.perfetto.dev`): per-core
+ * duration events for speculation epochs and stall intervals, instant
+ * events for rollbacks (with cause), counter events for instruction
+ * commit, and cross-component flow events following one memory
+ * request from L1 miss through the directory back to the fill.
  *
  * The sink is the one recording substrate of a simulation: it also
  * keeps the flight-recorder ring (sim/blackbox.hh) and the sampled
@@ -24,8 +22,8 @@
  *    system runs on exactly one host thread, so the hot path is a plain
  *    bounds-checked append: no locks, no atomics, safe under
  *    `SweepRunner --jobs=N` because sinks share nothing.
- *  - Disabled tracing costs one inline mask test (the FL_TEVENT macro
- *    mirrors FL_TRACE's guard); nothing is evaluated or stored.
+ *  - Disabled tracing costs one inline mask test in the FL_TEVENT
+ *    macro; nothing is evaluated or stored.
  *  - Recording is capped (default 4M events, ~128 MiB) so a runaway
  *    run degrades to counting drops instead of eating the host.
  */

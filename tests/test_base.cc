@@ -212,45 +212,7 @@ TEST(Stats, RegistryPrint)
     EXPECT_NE(os.str().find("7"), std::string::npos);
 }
 
-#include <sstream>
-
 #include "base/trace.hh"
-
-namespace
-{
-
-struct FakeObj
-{
-    std::string name() const { return "obj"; }
-    fenceless::Tick curTick() const { return 42; }
-};
-
-} // namespace
-
-TEST(Trace, DisabledByDefaultAndFree)
-{
-    trace::setEnabled(0);
-    std::ostringstream os;
-    trace::setStream(&os);
-    FakeObj obj;
-    FL_TRACE(trace::Flag::L1, obj, "should not appear");
-    EXPECT_TRUE(os.str().empty());
-    trace::setStream(nullptr);
-}
-
-TEST(Trace, EmitsWhenEnabled)
-{
-    trace::setEnabled(static_cast<std::uint32_t>(trace::Flag::L1));
-    std::ostringstream os;
-    trace::setStream(&os);
-    FakeObj obj;
-    FL_TRACE(trace::Flag::L1, obj, "fill 0x", std::hex, 64);
-    FL_TRACE(trace::Flag::Dir, obj, "filtered");
-    trace::setStream(nullptr);
-    trace::setEnabled(0);
-    EXPECT_NE(os.str().find("42: obj: fill 0x40"), std::string::npos);
-    EXPECT_EQ(os.str().find("filtered"), std::string::npos);
-}
 
 TEST(Trace, ParseFlags)
 {

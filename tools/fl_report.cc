@@ -10,12 +10,12 @@
  *  - differential waste attribution (per-bucket and per-PC cycle
  *    deltas, exact integer counts) between the baseline and the
  *    candidate (the last run given);
- *  - scaling analysis along a swept axis (cores, shards, dir_banks,
- *    topology) with throughput, parallel efficiency, imbalance
- *    factors, coordinator-cause and NoC hot-link trends;
+ *  - scaling analysis along a swept axis (cores, dir_banks, topology)
+ *    with throughput, parallel efficiency, core imbalance and NoC
+ *    hot-link trends;
  *  - a deterministic markdown and/or self-contained HTML report
- *    (embedded flamegraph diff, per-link heatmap), a difffolded
- *    flamegraph file, and a terse triage block for CI.
+ *    (embedded flamegraph diff), a difffolded flamegraph file, and a
+ *    terse triage block for CI.
  *
  * Output is byte-identical for identical inputs; documents with a
  * mismatched schema_version are refused rather than misread.
@@ -23,14 +23,17 @@
  * Usage:
  *   fl_report --baseline=LABEL=stats.json[,profile.json]
  *             [--run=LABEL=stats.json[,profile.json]]...
- *             [--sweep-json=FILE] [--axis=cores|shards|dir_banks|topology]
+ *             [--sweep-json=FILE] [--axis=cores|dir_banks|topology]
  *             [--md=FILE] [--html=FILE] [--folded-diff=FILE]
  *             [--triage] [--top=N]
  *
  * With no output option the markdown report goes to stdout.  A FILE
- * of "-" also means stdout.
+ * of "-" also means stdout.  A usage error (unknown option, a second
+ * --baseline, a bad --axis or --top) exits 2; an unreadable or
+ * refused input exits 1.
  */
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -72,7 +75,7 @@ printUsage(std::ostream &os)
     os << "usage: fl_report --baseline=LABEL=stats.json[,profile.json]\n"
        << "                 [--run=LABEL=stats.json[,profile.json]]...\n"
        << "                 [--sweep-json=FILE]\n"
-       << "                 [--axis=cores|shards|dir_banks|topology]\n"
+       << "                 [--axis=cores|dir_banks|topology]\n"
        << "                 [--md=FILE] [--html=FILE]\n"
        << "                 [--folded-diff=FILE] [--triage]\n"
        << "                 [--top=N]\n";
@@ -114,6 +117,7 @@ Cli
 parseArgs(int argc, char **argv)
 {
     Cli cli;
+    bool have_baseline = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto eq = arg.find('=');
@@ -122,9 +126,9 @@ parseArgs(int argc, char **argv)
         const std::string value =
             eq == std::string::npos ? "" : arg.substr(eq + 1);
         if (name == "--baseline") {
-            if (!cli.runs.empty() && !cli.runs.front().label.empty() &&
-                cli.runs.front().stats_path.empty())
+            if (have_baseline)
                 usageError("--baseline given twice");
+            have_baseline = true;
             cli.runs.insert(cli.runs.begin(),
                             parseRunSpec(value, "--baseline"));
         } else if (name == "--run") {
@@ -132,10 +136,10 @@ parseArgs(int argc, char **argv)
         } else if (name == "--sweep-json") {
             cli.sweep_path = value;
         } else if (name == "--axis") {
-            if (value != "cores" && value != "shards" &&
-                value != "dir_banks" && value != "topology")
-                usageError("--axis must be one of cores, shards, "
-                           "dir_banks, topology");
+            if (value != "cores" && value != "dir_banks" &&
+                value != "topology")
+                usageError("--axis must be one of cores, dir_banks, "
+                           "topology");
             cli.axis = value;
         } else if (name == "--md") {
             cli.md_path = value;
@@ -147,10 +151,14 @@ parseArgs(int argc, char **argv)
         } else if (name == "--triage") {
             cli.triage = true;
         } else if (name == "--top") {
-            const long n = std::strtol(value.c_str(), nullptr, 10);
-            if (n <= 0)
-                usageError("--top wants a positive integer");
-            cli.top_n = static_cast<std::size_t>(n);
+            // from_chars, not strtol: no sign, no trailing junk.
+            std::size_t n = 0;
+            const char *end = value.data() + value.size();
+            const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+            if (ec != std::errc() || ptr != end || n == 0)
+                usageError("--top wants a positive integer, got '" +
+                           value + "'");
+            cli.top_n = n;
         } else if (name == "--help" || name == "-h") {
             printUsage(std::cout);
             std::exit(0);
