@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <iomanip>
 #include <sstream>
 
@@ -582,12 +583,14 @@ System::runtimeCycles() const
 std::uint64_t
 System::debugRead(Addr addr, unsigned size) const
 {
-    for (const auto &l1 : l1s_) {
-        std::uint64_t v = 0;
-        if (l1->debugRead(addr, size, v))
-            return v;
-    }
-    return dirs_[bankOf(addr)]->debugRead(addr, size);
+    // Only the directory's owner can hold M/E (see auditCoherence), so
+    // read that one L1; an MStale owner defers to the L2 copy.
+    const mem::Directory &home = *dirs_[bankOf(addr)];
+    const mem::L2Block *l2 = home.findBlock(addr);
+    std::uint64_t v = 0;
+    if (l2 && l2->hasOwner() && l1s_[l2->owner]->debugRead(addr, size, v))
+        return v;
+    return home.debugRead(addr, size);
 }
 
 std::uint64_t
@@ -984,9 +987,10 @@ System::auditCoherence() const
                      l2.block_addr, std::dec,
                      " does not hold the block exclusively");
         }
-        for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
-            if (!l2.isSharer(c))
-                continue;
+        for (std::uint64_t rest = l2.sharers; rest != 0;
+             rest &= rest - 1) {
+            const auto c =
+                static_cast<std::uint32_t>(std::countr_zero(rest));
             const mem::L1Block *blk =
                 l1s_.at(c)->findBlock(l2.block_addr);
             flAssert(blk && blk->valid &&

@@ -202,6 +202,13 @@ class System
     /**
      * Functional read of the coherent memory image: the owning L1's
      * copy if one exists, else the L2 copy, else DRAM.
+     *
+     * Only the L1 the home directory names as owner is read, and only
+     * if it holds the block in M or E.  That equals probing every L1
+     * on a quiesced system, where auditCoherence() holds: an L1 in
+     * M/E/MStale is the directory owner and S copies equal the L2.
+     * While requests are in flight (an aborted run) the result is
+     * unspecified.  quiesced() is not checked here; it is O(cores).
      */
     std::uint64_t debugRead(Addr addr, unsigned size) const;
 

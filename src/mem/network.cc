@@ -319,21 +319,6 @@ Network::send(Msg msg)
         hops = topologyHops(params_.topology, params_.num_nodes,
                             msg.src, msg.dst);
         route_latency = static_cast<Tick>(hops) * params_.hop_latency;
-        // Charge this message's serialization to every directed link
-        // on its (fixed, deterministic) route -- sender-owned counters
-        // only, folded in node order at finalizeStats().
-        if (src.link_msgs.empty()) {
-            const std::size_t nlinks =
-                static_cast<std::size_t>(routerSlots(
-                    params_.topology, params_.num_nodes)) * 4;
-            src.link_msgs.assign(nlinks, 0);
-            src.link_busy.assign(nlinks, 0);
-        }
-        forEachRouteLink(params_.topology, params_.num_nodes, msg.src,
-                         msg.dst, [&](std::uint32_t link) {
-                             ++src.link_msgs[link];
-                             src.link_busy[link] += serialization;
-                         });
     }
     msg.hops = static_cast<std::uint8_t>(
         std::min<std::uint32_t>(hops, 255));
@@ -347,7 +332,9 @@ Network::send(Msg msg)
     if (arrival <= ch.last_arrival)
         arrival = ch.last_arrival + serialization;
     ch.last_arrival = arrival;
-    ++ch.sent;
+    // The route is fixed per channel: its links' occupancy is this
+    // channel's totals, added along the route by foldLinks().
+    ch.busy += serialization;
 
     ++src.tx_msgs;
     src.tx_bytes += msg.sizeBytes();
@@ -425,20 +412,38 @@ Network::ingressFire(NodeId id)
         armIngress(n);
 }
 
-std::vector<std::uint64_t>
-Network::foldedLinkMsgs() const
+void
+Network::foldLinks(std::vector<std::uint64_t> &msgs,
+                   std::vector<std::uint64_t> &busy) const
 {
     if (params_.topology == Topology::Crossbar)
-        return {};
+        return;
     const std::size_t nlinks =
         static_cast<std::size_t>(routerSlots(params_.topology,
                                              params_.num_nodes)) * 4;
-    std::vector<std::uint64_t> lmsgs(nlinks, 0);
-    for (const Node &n : nodes_) {
-        for (std::size_t l = 0; l < n.link_msgs.size(); ++l)
-            lmsgs[l] += n.link_msgs[l];
+    msgs.assign(nlinks, 0);
+    busy.assign(nlinks, 0);
+    for (NodeId s = 0; s < nodes_.size(); ++s) {
+        const std::vector<TxChan> &chans = nodes_[s].chans;
+        for (NodeId d = 0; d < chans.size(); ++d) {
+            const TxChan &ch = chans[d];
+            if (ch.seq == 0)
+                continue;
+            forEachRouteLink(params_.topology, params_.num_nodes, s, d,
+                             [&](std::uint32_t link) {
+                                 msgs[link] += ch.seq;
+                                 busy[link] += ch.busy;
+                             });
+        }
     }
-    return lmsgs;
+}
+
+std::vector<std::uint64_t>
+Network::foldedLinkMsgs() const
+{
+    std::vector<std::uint64_t> msgs, busy;
+    foldLinks(msgs, busy);
+    return msgs;
 }
 
 void
@@ -464,20 +469,11 @@ Network::finalizeStats()
     stat_dropped_ = dropped;
     stat_hops_ = hops;
     if (params_.topology != Topology::Crossbar) {
-        // Fold the per-sender link occupancy into per-link totals
-        // (node order -- deterministic) and report the hot spot.
-        const std::size_t nlinks =
-            static_cast<std::size_t>(routerSlots(
-                params_.topology, params_.num_nodes)) * 4;
-        std::vector<std::uint64_t> lmsgs(nlinks, 0), lbusy(nlinks, 0);
-        for (const Node &n : nodes_) {
-            for (std::size_t l = 0; l < n.link_msgs.size(); ++l) {
-                lmsgs[l] += n.link_msgs[l];
-                lbusy[l] += n.link_busy[l];
-            }
-        }
+        // Report the hot spot of the per-link occupancy.
+        std::vector<std::uint64_t> lmsgs, lbusy;
+        foldLinks(lmsgs, lbusy);
         std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
-        for (std::size_t l = 0; l < nlinks; ++l) {
+        for (std::size_t l = 0; l < lmsgs.size(); ++l) {
             if (lmsgs[l] == 0)
                 continue;
             ++used;

@@ -21,12 +21,15 @@
  * ceil(bytes / link_bytes_per_cycle) models link bandwidth.  FIFO
  * order per channel is a protocol requirement.
  *
- * Link occupancy is modeled as per-source accounting: every message
- * charges its serialization cycles to each directed link on its route,
- * accumulated in sender-owned counters and folded deterministically at
- * finalizeStats() (hop totals, hot-link occupancy).  Shared-link
- * *timing* contention is deliberately not modeled: an arrival time is
- * a pure function of the sending channel's state.
+ * Link occupancy is modeled as per-channel accounting: every message
+ * charges its serialization cycles to each directed link on its route.
+ * A route is a pure function of (src, dst), so send() only bumps the
+ * channel's message count and busy cycles; the fold walks each used
+ * channel's route once, in node order, and adds the channel totals to
+ * every link on it (hot-link occupancy at finalizeStats(), the
+ * per-link message vector of foldedLinkMsgs()).  Shared-link *timing*
+ * contention is deliberately not modeled: an arrival time is a pure
+ * function of the sending channel's state.
  *
  * Delivery goes through a *canonical per-destination ingress*: every
  * node owns a min-heap of pending arrivals ordered by (arrival tick,
@@ -202,14 +205,14 @@ class Network : public sim::SimObject
             const Node &src = nodes_[s];
             for (NodeId d = 0; d < src.chans.size(); ++d) {
                 const TxChan &ch = src.chans[d];
-                if (ch.sent == 0)
+                if (ch.seq == 0)
                     continue;
                 std::uint64_t delivered = 0;
                 if (d < nodes_.size() &&
                     s < nodes_[d].delivered_from.size()) {
                     delivered = nodes_[d].delivered_from[s];
                 }
-                fn(s, d, Channel{ch.last_arrival, ch.sent - delivered});
+                fn(s, d, Channel{ch.last_arrival, ch.seq - delivered});
             }
         }
     }
@@ -218,9 +221,9 @@ class Network : public sim::SimObject
     Topology topology() const { return params_.topology; }
 
     /**
-     * Fold the per-node per-link message counters into one vector
-     * (indexed by link id; empty on the crossbar).  Same node-order
-     * fold as finalizeStats(); callable at any point (end-of-run reports use it to name each
+     * Per-link message counts (indexed by link id; empty on the
+     * crossbar), from the same per-channel fold as finalizeStats().
+     * Callable at any point (end-of-run reports use it to name each
      * sampled request's hottest link).
      */
     std::vector<std::uint64_t> foldedLinkMsgs() const;
@@ -236,17 +239,22 @@ class Network : public sim::SimObject
     }
 
   private:
-    /** One FIFO channel's send-side state. */
+    /**
+     * One FIFO channel's send-side state.  Its message count and busy
+     * cycles are also its route's link occupancy, charged to each link
+     * of the route by foldLinks().
+     */
     struct TxChan
     {
         Tick last_arrival = 0;
         std::uint64_t seq = 0;  //!< sends so far (becomes chan_seq)
-        std::uint64_t sent = 0; //!< == seq; kept separate for clarity
+        std::uint64_t busy = 0; //!< serialization cycles of those sends
     };
 
     /**
      * Per-node state: the tx counters this node produces as a source
-     * and the ingress heap + rx accumulators it owns as a destination.
+     * (link occupancy lives in its channels, not per link) and the
+     * ingress heap + rx accumulators it owns as a destination.
      */
     struct Node
     {
@@ -261,14 +269,6 @@ class Network : public sim::SimObject
         std::uint64_t tx_ctrl_msgs = 0;
         std::uint64_t tx_dropped = 0;
         std::uint64_t tx_hops = 0; //!< links crossed by sent messages
-
-        /**
-         * Per-link occupancy charged by this node's sends (indexed by
-         * link id, lazily sized; empty on the crossbar), folded across
-         * nodes in node order at finalizeStats().
-         */
-        std::vector<std::uint64_t> link_msgs;
-        std::vector<std::uint64_t> link_busy; //!< serialization cycles
 
         // rx side (this node as msg.dst)
         std::vector<PendingMsg> heap; //!< min-heap via Pending order
@@ -294,6 +294,15 @@ class Network : public sim::SimObject
     void armIngress(Node &n);
     void ingressFire(NodeId id);
     void rxSample(Node &n, double v);
+
+    /**
+     * Fill the empty @p msgs and @p busy with per-link message counts
+     * and busy cycles (indexed by link id): each used channel's totals
+     * added to every link of its route, sources in node order.  Both
+     * stay empty on the crossbar.
+     */
+    void foldLinks(std::vector<std::uint64_t> &msgs,
+                   std::vector<std::uint64_t> &busy) const;
 
     Params params_;
     std::vector<Node> nodes_;

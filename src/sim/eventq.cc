@@ -167,13 +167,8 @@ EventQueue::findNext(Tick &when_out)
 }
 
 Event *
-EventQueue::popLive()
+EventQueue::take(NextWhere where, Tick when)
 {
-    Tick when = 0;
-    const NextWhere where = findNext(when);
-    if (where == NextWhere::None)
-        return nullptr;
-
     flAssert(when >= cur_tick_, "event time went backwards");
     Event *ev = nullptr;
     if (where == NextWhere::Near) {
@@ -200,10 +195,11 @@ EventQueue::popLive()
 bool
 EventQueue::step()
 {
-    Event *ev = popLive();
-    if (!ev)
+    Tick when = 0;
+    const NextWhere where = findNext(when);
+    if (where == NextWhere::None)
         return false;
-    ev->process();
+    take(where, when)->process();
     return true;
 }
 
@@ -212,18 +208,18 @@ EventQueue::run(Tick max_tick)
 {
     stop_requested_ = false;
     while (num_scheduled_ > 0 && !stop_requested_) {
-        // Peek at the next live event without firing it if it is beyond
-        // the horizon.  The peek leaves it at the front of its bucket
-        // (or the far top), so the popLive() inside step() re-finds it
-        // in O(1) via next_hint_.
+        // One scan per event: locate the next live event, leave it
+        // queued if it is beyond the horizon, else take it from where
+        // the scan found it and fire it.
         Tick when = 0;
-        if (findNext(when) == NextWhere::None)
+        const NextWhere where = findNext(when);
+        if (where == NextWhere::None)
             break;
         if (when > max_tick) {
             cur_tick_ = max_tick;
             return cur_tick_;
         }
-        step();
+        take(where, when)->process();
     }
     return cur_tick_;
 }

@@ -373,8 +373,11 @@ class EventQueue
      */
     NextWhere findNext(Tick &when_out);
 
-    /** Pop entries until a live one is found; nullptr when drained. */
-    Event *popLive();
+    /**
+     * Pop the live event findNext() just located at (@p where,
+     * @p when) and advance the current tick to it.
+     */
+    Event *take(NextWhere where, Tick when);
 
     /** Insert into the calendar (when must be inside the window). */
     void pushNear(Tick when, int priority, std::uint64_t stamp,

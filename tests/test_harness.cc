@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "harness/options.hh"
 #include "harness/table.hh"
 #include "isa/assembler.hh"
 #include "tests/sim_test_util.hh"
+#include "workload/kernels.hh"
 
 using namespace fenceless;
 using namespace fenceless::harness;
@@ -244,6 +246,236 @@ TEST(SystemQueries, DebugReadSeesFreshestCopy)
     ASSERT_NE(blk, nullptr);
     EXPECT_EQ(blk->state, mem::L1State::M);
     EXPECT_EQ(sys.debugRead(var, 8), 99u);
+}
+
+namespace
+{
+
+/** The directory bank whose slice @p addr falls in. */
+const mem::Directory &
+homeBank(const harness::System &sys, Addr addr)
+{
+    const std::uint32_t bank = static_cast<std::uint32_t>(
+        addr / sys.config().l2.block_size) & (sys.dirBanks() - 1);
+    return sys.directoryBank(bank);
+}
+
+/** The home bank's L2 block for @p addr (nullptr if not cached). */
+const mem::L2Block *
+homeBlock(const harness::System &sys, Addr addr)
+{
+    return homeBank(sys, addr).findBlock(addr);
+}
+
+/**
+ * Reference read: probe every L1 for an M/E copy, in core order, then
+ * fall back to the home bank (L2, else DRAM).
+ */
+std::uint64_t
+fullProbeRead(harness::System &sys, Addr addr, unsigned size)
+{
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        std::uint64_t v = 0;
+        if (sys.l1(i).debugRead(addr, size, v))
+            return v;
+    }
+    return homeBank(sys, addr).debugRead(addr, size);
+}
+
+/** @return true if some L1 holds a block in @p state. */
+bool
+anyL1In(harness::System &sys, mem::L1State state)
+{
+    bool seen = false;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        sys.l1(i).forEachBlock([&](const mem::L1Block &b) {
+            seen = seen || b.state == state;
+        });
+    }
+    return seen;
+}
+
+/**
+ * Compare System::debugRead with fullProbeRead on every word of every
+ * block any L1 or L2 bank holds.  @return the words compared.
+ */
+std::size_t
+expectDebugReadMatchesProbe(harness::System &sys)
+{
+    std::set<Addr> blocks;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        sys.l1(i).forEachBlock([&](const mem::L1Block &b) {
+            blocks.insert(b.block_addr);
+        });
+    }
+    for (std::uint32_t b = 0; b < sys.dirBanks(); ++b) {
+        sys.directoryBank(b).forEachBlock([&](const mem::L2Block &l2) {
+            blocks.insert(l2.block_addr);
+        });
+    }
+    std::size_t words = 0, mismatches = 0;
+    for (const Addr blk : blocks) {
+        for (Addr a = blk; a < blk + sys.config().l2.block_size; a += 8) {
+            ++words;
+            const std::uint64_t got = sys.debugRead(a, 8);
+            const std::uint64_t want = fullProbeRead(sys, a, 8);
+            if (got != want && mismatches++ == 0) {
+                ADD_FAILURE() << "debugRead(0x" << std::hex << a
+                              << ") = 0x" << got << ", full probe 0x"
+                              << want;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << words << " words";
+    return words;
+}
+
+} // namespace
+
+TEST(SystemQueries, DebugReadMatchesFullProbe)
+{
+    using namespace isa;
+
+    {
+        SCOPED_TRACE("64-core mesh, 8 banks");
+        workload::IrregularUpdate::Params p;
+        p.updates = 24;
+        p.seed = 5;
+        workload::IrregularUpdate wl(p);
+        harness::SystemConfig cfg = testConfig(64);
+        cfg.withTopology(mem::Topology::Mesh).withDirBanks(8);
+        isa::Program prog = wl.build(cfg.num_cores);
+        harness::System sys(cfg, prog);
+        ASSERT_TRUE(sys.run());
+        std::string error;
+        EXPECT_TRUE(wl.check(sys.memReader(), cfg.num_cores, error))
+            << error;
+        sys.auditCoherence();
+        EXPECT_TRUE(anyL1In(sys, mem::L1State::M));
+        EXPECT_GT(expectDebugReadMatchesProbe(sys), 0u);
+    }
+    {
+        SCOPED_TRACE("E owner");
+        Assembler as;
+        const Addr var = as.paddedWord("var", 31);
+        as.bne(tp, x0, "done");
+        as.li(a0, var);
+        as.ld(t0, a0);
+        as.label("done");
+        as.halt();
+        harness::System sys(testConfig(2), as.finish());
+        ASSERT_TRUE(sys.run());
+        const mem::L1Block *blk = sys.l1(0).findBlock(var);
+        ASSERT_NE(blk, nullptr);
+        EXPECT_EQ(blk->state, mem::L1State::E);
+        ASSERT_NE(homeBlock(sys, var), nullptr);
+        EXPECT_EQ(homeBlock(sys, var)->owner, 0u);
+        EXPECT_EQ(sys.debugRead(var, 8), 31u);
+        EXPECT_GT(expectDebugReadMatchesProbe(sys), 0u);
+    }
+    {
+        SCOPED_TRACE("S only");
+        Assembler as;
+        const Addr var = as.paddedWord("var", 32);
+        as.li(a0, var);
+        as.ld(t0, a0);
+        as.halt();
+        harness::System sys(testConfig(2), as.finish());
+        ASSERT_TRUE(sys.run());
+        for (std::uint32_t i = 0; i < 2; ++i) {
+            const mem::L1Block *blk = sys.l1(i).findBlock(var);
+            ASSERT_NE(blk, nullptr);
+            EXPECT_EQ(blk->state, mem::L1State::S);
+        }
+        ASSERT_NE(homeBlock(sys, var), nullptr);
+        EXPECT_FALSE(homeBlock(sys, var)->hasOwner());
+        EXPECT_EQ(sys.debugRead(var, 8), 32u);
+        EXPECT_GT(expectDebugReadMatchesProbe(sys), 0u);
+    }
+    {
+        SCOPED_TRACE("MStale after a rollback");
+        // Core 0 reads `flag` (0), opens an epoch behind a missing
+        // store and speculatively writes `victim`, which RMO drains
+        // ahead of the miss.  Core 1's store to `flag` rolls the epoch
+        // back; the replay reads the new flag and skips the write, so
+        // `victim` stays MStale.  Sweep core 1's delay until its store
+        // lands inside the epoch.
+        bool seen = false;
+        for (std::int64_t delay = 0; delay <= 200 && !seen; delay += 4) {
+            Assembler as;
+            const Addr sink = as.paddedWord("sink", 0);
+            const Addr victim = as.paddedWord("victim", 1111);
+            const Addr flag = as.paddedWord("flag", 0);
+            as.bne(tp, x0, "poker");
+            as.li(a0, sink);
+            as.li(a1, victim);
+            as.li(a2, flag);
+            as.ld(t1, a2);
+            as.ld(t2, a1); // victim in E: the speculative store hits
+            as.bne(t1, x0, "skip");
+            as.li(t0, 1);
+            as.st(t0, a0);
+            as.fence();
+            as.ld(t1, a2);
+            as.bne(t1, x0, "skip");
+            as.li(t0, 2222);
+            as.st(t0, a1);
+            as.label("skip");
+            as.halt();
+            as.label("poker");
+            as.li(a2, flag);
+            as.li(s0, delay);
+            as.label("wait");
+            as.beq(s0, x0, "poke");
+            as.addi(s0, s0, -1);
+            as.jump("wait");
+            as.label("poke");
+            as.li(t0, 7);
+            as.st(t0, a2);
+            as.halt();
+            harness::SystemConfig cfg =
+                testConfig(2, cpu::ConsistencyModel::RMO);
+            cfg.withSpeculation();
+            harness::System sys(cfg, as.finish());
+            ASSERT_TRUE(sys.run());
+            sys.auditCoherence();
+            const mem::L1Block *blk = sys.l1(0).findBlock(victim);
+            if (!blk || blk->state != mem::L1State::MStale)
+                continue;
+            seen = true;
+            EXPECT_EQ(sys.debugRead(victim, 8), 1111u);
+            EXPECT_GT(expectDebugReadMatchesProbe(sys), 0u);
+        }
+        EXPECT_TRUE(seen) << "no delay left `victim` MStale";
+    }
+    {
+        SCOPED_TRACE("evicted by PutM");
+        // Eight dirty blocks in one set of a 4-way L1: the first four
+        // are written back with PutM and survive only in the L2.
+        Assembler as;
+        const std::uint64_t stride = 1024; // 4 KiB / 4 ways = 1 KiB
+        const Addr arr = as.alloc("arr", 8 * stride, stride);
+        as.li(a0, arr);
+        as.li(s0, 8);
+        as.li(t0, 0);
+        as.label("loop");
+        as.addi(t0, t0, 11);
+        as.st(t0, a0);
+        as.addi(a0, a0, static_cast<std::int64_t>(stride));
+        as.addi(s0, s0, -1);
+        as.bne(s0, x0, "loop");
+        as.halt();
+        harness::System sys(testConfig(1), as.finish());
+        ASSERT_TRUE(sys.run());
+        sys.auditCoherence();
+        EXPECT_EQ(sys.l1(0).findBlock(arr), nullptr);
+        const mem::L2Block *l2 = homeBlock(sys, arr);
+        ASSERT_NE(l2, nullptr);
+        EXPECT_TRUE(l2->dirty);
+        EXPECT_FALSE(l2->hasOwner());
+        EXPECT_EQ(sys.debugRead(arr, 8), 11u);
+        EXPECT_GT(expectDebugReadMatchesProbe(sys), 0u);
+    }
 }
 
 TEST(SystemQueries, AggregatesAndQuiescence)

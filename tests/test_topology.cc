@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "mem/network.hh"
@@ -284,4 +287,103 @@ TEST(Topology, MeshHopAndLinkStatsFold)
     EXPECT_EQ(net.statGroup().scalarCount("hops"), 2u);
     EXPECT_EQ(net.statGroup().scalarCount("links_used"), 2u);
     EXPECT_EQ(net.statGroup().scalarCount("hot_link_msgs"), 1u);
+}
+
+TEST(Topology, LinkOccupancyFoldMatchesPerMessageWalk)
+{
+    // Several sources share links; data messages (72 bytes: 5 cycles
+    // of serialization) mix with control ones (8 bytes: 1 cycle).  The
+    // reference charges every message to each link of its route, as a
+    // per-message walk would; the network folds per-channel totals.
+    struct Send
+    {
+        NodeId src, dst;
+        bool data;
+    };
+    const std::vector<Send> sends = {
+        {0, 2, false}, {0, 2, true}, {1, 2, true},  {5, 2, false},
+        {6, 0, true},  {6, 0, true}, {2, 6, false}, {4, 1, true},
+        {3, 5, false}, {1, 3, true}, {0, 4, false}, {6, 5, true},
+        {5, 6, false}, {2, 0, true}, {4, 2, false}, {0, 2, true},
+    };
+    const Addr dropped_block = 0x1c0;
+
+    // Ring: 6 nodes (ties go clockwise).  Mesh: 7 nodes on a 3x3 grid,
+    // a partial last row.  Crossbar: no modeled links.
+    for (const auto &[topo, n] :
+         std::vector<std::pair<Topology, std::uint32_t>>{
+             {Topology::Ring, 6}, {Topology::Mesh, 7},
+             {Topology::Crossbar, 7}}) {
+        SCOPED_TRACE(topologyName(topo));
+        sim::SimContext ctx;
+        Network::Params params;
+        params.topology = topo;
+        params.num_nodes = n;
+        params.hop_latency = 2;
+        params.link_bytes_per_cycle = 16;
+        params.drop_fwd_acks_for = {dropped_block};
+        Network net(ctx, "network", params);
+        std::vector<std::unique_ptr<RecordingEndpoint>> eps;
+        for (NodeId id = 0; id < n; ++id) {
+            eps.push_back(std::make_unique<RecordingEndpoint>(ctx));
+            net.registerEndpoint(id, eps.back().get());
+        }
+
+        const std::size_t nlinks = topo == Topology::Crossbar
+                                       ? 0
+                                       : routerSlots(topo, n) * 4u;
+        std::vector<std::uint64_t> ref_msgs(nlinks, 0);
+        std::vector<std::uint64_t> ref_busy(nlinks, 0);
+        for (const Send &s : sends) {
+            Msg msg;
+            msg.type = s.data ? MsgType::DataM : MsgType::GetS;
+            msg.src = s.src % n;
+            msg.dst = s.dst % n;
+            msg.block_addr = 0x40;
+            if (s.data)
+                msg.data.assign(64, 0xab);
+            const Cycles serialization =
+                (msg.sizeBytes() + params.link_bytes_per_cycle - 1)
+                / params.link_bytes_per_cycle;
+            forEachRouteLink(topo, n, msg.src, msg.dst,
+                             [&](std::uint32_t link) {
+                                 ++ref_msgs[link];
+                                 ref_busy[link] += serialization;
+                             });
+            net.send(std::move(msg));
+            ctx.eventq.run(ctx.eventq.curTick() + 3);
+        }
+        // Swallowed by fault injection: charges no link.
+        Msg ack;
+        ack.type = MsgType::FwdDataAck;
+        ack.src = 1;
+        ack.dst = 3;
+        ack.block_addr = dropped_block;
+        ack.data.assign(64, 0xcd);
+        net.send(std::move(ack));
+        ctx.eventq.run();
+
+        std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
+        for (std::size_t l = 0; l < nlinks; ++l) {
+            if (ref_msgs[l] == 0)
+                continue;
+            ++used;
+            hot_msgs = std::max(hot_msgs, ref_msgs[l]);
+            hot_busy = std::max(hot_busy, ref_busy[l]);
+        }
+        EXPECT_EQ(net.foldedLinkMsgs(), ref_msgs);
+        net.finalizeStats();
+        EXPECT_EQ(net.foldedLinkMsgs(), ref_msgs);
+        EXPECT_EQ(net.droppedMsgs(), 1u);
+        EXPECT_EQ(net.statGroup().scalarCount("msgs"), sends.size());
+        EXPECT_EQ(net.statGroup().scalarCount("links_used"), used);
+        EXPECT_EQ(net.statGroup().scalarCount("hot_link_msgs"), hot_msgs);
+        EXPECT_EQ(net.statGroup().scalarCount("hot_link_busy"), hot_busy);
+        if (topo != Topology::Crossbar) {
+            // Shared links carried traffic from more than one message,
+            // and the busiest-by-cycles link is not a plain msg count.
+            EXPECT_GT(hot_msgs, 1u);
+            EXPECT_GT(hot_busy, hot_msgs);
+        }
+    }
 }
