@@ -27,6 +27,7 @@
 #include "base/logging.hh"
 #include "harness/exit_codes.hh"
 #include "harness/options.hh"
+#include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "harness/table.hh"
@@ -343,13 +344,13 @@ writeObservability(const harness::System &sys,
     if (const std::string path = opts.outliersOut();
         !path.empty() &&
         !writeArtifact("outliers-out", path,
-                       [&](std::ostream &os) { sys.writeOutliers(os); },
+                       [&](std::ostream &os) { writeOutliers(os, sys); },
                        "outlier dossiers written to " + path))
         return false;
     if (opts.profiling() && !writeProfileArtifacts(sys.profile(), opts))
         return false;
     if (opts.tailReport())
-        sys.writeTailReport(std::cout);
+        writeTailReport(std::cout, sys);
     return true;
 }
 

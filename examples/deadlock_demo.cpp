@@ -26,6 +26,7 @@
 #include "harness/exit_codes.hh"
 #include "harness/options.hh"
 #include "harness/system.hh"
+#include "sim/blackbox.hh"
 #include "workload/microbench.hh"
 
 using namespace fenceless;
@@ -82,7 +83,7 @@ main(int argc, char **argv)
     std::string error;
     if (!wl.check(sys.memReader(), cfg.num_cores, error)) {
         std::cerr << "postcondition failed: " << error << "\n";
-        sys.writeBlackboxTail(std::cerr);
+        trace::writeBlackboxTail(std::cerr, sys.tracer());
         return harness::exit_postcondition;
     }
     std::cout << "healthy run completed in " << sys.runtimeCycles()

@@ -23,6 +23,7 @@
 #include "harness/options.hh"
 #include "harness/system.hh"
 #include "harness/table.hh"
+#include "sim/blackbox.hh"
 #include "workload/microbench.hh"
 
 using namespace fenceless;
@@ -70,7 +71,7 @@ main(int argc, char **argv)
         std::string error;
         if (!wl.check(sys.memReader(), run_cfg.num_cores, error)) {
             std::cerr << "postcondition failed: " << error << "\n";
-            sys.writeBlackboxTail(std::cerr);
+            trace::writeBlackboxTail(std::cerr, sys.tracer());
             return harness::exit_postcondition;
         }
 

@@ -162,7 +162,7 @@ class Core : public sim::SimObject
 
     // --- stall-dossier inspection ---------------------------------------
     // Read-only views of why the core is not running, walked at dossier
-    // time by harness::System::buildWaitGraph.  They cost nothing on
+    // time by harness::buildWaitGraph.  They cost nothing on
     // the execution path: the fields below are maintained anyway for
     // stall accounting and squash handling.
 

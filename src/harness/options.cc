@@ -1,5 +1,6 @@
 #include "harness/options.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <climits>
 #include <cstdlib>
@@ -15,26 +16,78 @@ namespace fenceless::harness
 namespace
 {
 
-const char *known_options[] = {
-    "cores", "model", "spec", "granularity", "overflow", "sb-size",
-    "l1-kb", "l2-kb", "dram-latency", "net-latency", "topology",
-    "hop-latency", "dir-banks", "scale", "seed",
-    "jobs", "csv", "trace", "trace-out", "stats-json", "stats-interval",
-    "sweep-json",
-    "profile-out", "waste-report", "blackbox-out", "blackbox",
-    "watchdog-interval", "watchdog-storm", "tail-sample", "tail-report",
-    "outliers-out", "outliers", "help",
+/**
+ * Every option, in --help order: its name, the value shown after it in
+ * the usage text ("" for a switch), and its help text ("\n" starts a
+ * continuation line).  The parser accepts exactly these names.
+ */
+struct OptionSpec
+{
+    const char *name;
+    const char *value;
+    const char *help;
 };
 
-bool
-isKnown(const std::string &name)
-{
-    for (const char *k : known_options) {
-        if (name == k)
-            return true;
-    }
-    return false;
-}
+const OptionSpec option_table[] = {
+    {"cores", "=N", "number of cores (up to 64)"},
+    {"model", "=sc|tso|rmo", "consistency model"},
+    {"spec", "=off|on-demand|continuous", ""},
+    {"granularity", "=block|per-store", ""},
+    {"overflow", "=stall|rollback", ""},
+    {"sb-size", "=N", "store-buffer entries"},
+    {"l1-kb", "=N", "L1 size (KiB)"},
+    {"l2-kb", "=N", "L2 size (KiB)"},
+    {"dram-latency", "=N", "DRAM latency (cycles)"},
+    {"net-latency", "=N", "crossbar flat latency (cycles)"},
+    {"topology", "=T", "interconnect: crossbar|ring|mesh"},
+    {"hop-latency", "=N",
+     "per-hop latency for ring/mesh\n(cycles, default 3)"},
+    {"dir-banks", "=N",
+     "directory banks (power of two,\n1..64; banks interleave by block)"},
+    {"scale", "=N", "workload scaling factor"},
+    {"seed", "=N", "workload seed"},
+    {"jobs", "=N",
+     "host threads for independent runs\n(default: hardware concurrency;"
+     "\n1 = sequential; output identical)"},
+    {"csv", "", "machine-readable tables"},
+    {"trace", "=f1,f2", "structured-trace flags"}, // + the flag names
+    {"trace-out", "=FILE",
+     "write Chrome trace-event JSON\n(implies --trace=all if no --trace)"},
+    {"stats-json", "=FILE", "write the stat registry as JSON"},
+    {"stats-interval", "=N",
+     "snapshot stats every N cycles into\nthe --stats-json time series"},
+    {"sweep-json", "=FILE",
+     "benchmarks that sweep an axis also\nwrite one JSON object per sweep"
+     "\npoint (fl_report --sweep-json)"},
+    {"profile-out", "=FILE",
+     "write the waste-attribution profile\nas JSON plus FILE.folded "
+     "(flamegraph\nfolded stacks)"},
+    {"waste-report", "", "print the top-N waste table"},
+    {"blackbox-out", "=FILE",
+     "dump the flight recorder after the\nrun (Chrome trace-event JSON)"},
+    {"blackbox", "=N",
+     "flight-recorder depth per component\n(default 256; 0 = off)"},
+    {"watchdog-interval", "=N",
+     "hang-watchdog window in cycles\n(default 100000; 0 = off)"},
+    {"watchdog-storm", "=N",
+     "rollbacks/window classified as a\nrollback storm (default 256)"},
+    {"tail-sample", "=N",
+     "trace 1 in N misses end to end\n(1 = every miss; byte-identical"
+     "\nfor any --jobs)"},
+    {"tail-report", "",
+     "print the critical-path stage\nattribution table (implies"
+     "\n--tail-sample=64 if unset)"},
+    {"outliers-out", "=FILE",
+     "write top-K slowest-request\ndossiers as JSON (implies span"
+     "\ntracing like --tail-report)"},
+    {"outliers", "=K", "dossiers to keep (default 10)"},
+    {"help", "", "this message"},
+};
+
+/** The options that name an output file; see requireWritable. */
+const char *const output_paths[] = {
+    "trace-out",    "stats-json", "profile-out",
+    "blackbox-out", "sweep-json", "outliers-out"};
 
 /**
  * Fail fast on an unwritable output path: a long run that only
@@ -68,7 +121,8 @@ Options::Options(int argc, char **argv)
             name = arg.substr(0, eq);
             value = arg.substr(eq + 1);
         }
-        if (!isKnown(name))
+        if (std::none_of(std::begin(option_table), std::end(option_table),
+                         [&](const OptionSpec &o) { return name == o.name; }))
             fatal("unknown option '--", name, "' (try --help)");
         values_[name] = value;
     }
@@ -84,9 +138,7 @@ Options::Options(int argc, char **argv)
     seed_ = getInt("seed", 42);
     jobs_ = static_cast<unsigned>(getInt("jobs", 0, UINT_MAX));
 
-    for (const char *opt : {"trace-out", "stats-json", "profile-out",
-                            "blackbox-out", "sweep-json",
-                            "outliers-out"}) {
+    for (const char *opt : output_paths) {
         if (has(opt))
             requireWritable(opt, get(opt));
     }
@@ -232,62 +284,22 @@ Options::applyTo(SystemConfig base) const
 void
 Options::printUsage(const std::string &prog)
 {
-    std::cout
-        << "usage: " << prog << " [options]\n"
-        << "  --cores=N             number of cores (up to 64)\n"
-        << "  --model=sc|tso|rmo    consistency model\n"
-        << "  --spec=off|on-demand|continuous\n"
-        << "  --granularity=block|per-store\n"
-        << "  --overflow=stall|rollback\n"
-        << "  --sb-size=N           store-buffer entries\n"
-        << "  --l1-kb=N             L1 size (KiB)\n"
-        << "  --l2-kb=N             L2 size (KiB)\n"
-        << "  --dram-latency=N      DRAM latency (cycles)\n"
-        << "  --net-latency=N       crossbar flat latency (cycles)\n"
-        << "  --topology=T          interconnect: crossbar|ring|mesh\n"
-        << "  --hop-latency=N       per-hop latency for ring/mesh\n"
-           "                        (cycles, default 3)\n"
-        << "  --dir-banks=N         directory banks (power of two,\n"
-           "                        1..64; banks interleave by block)\n"
-        << "  --scale=N             workload scaling factor\n"
-        << "  --seed=N              workload seed\n"
-        << "  --jobs=N              host threads for independent runs\n"
-           "                        (default: hardware concurrency;\n"
-           "                        1 = sequential; output identical)\n"
-        << "  --csv                 machine-readable tables\n"
-        << "  --trace=f1,f2         structured-trace flags ("
-        << trace::validFlagNames() << ")\n"
-        << "  --trace-out=FILE      write Chrome trace-event JSON\n"
-           "                        (implies --trace=all if no --trace)\n"
-        << "  --stats-json=FILE     write the stat registry as JSON\n"
-        << "  --stats-interval=N    snapshot stats every N cycles into\n"
-           "                        the --stats-json time series\n"
-        << "  --sweep-json=FILE     benchmarks that sweep an axis also\n"
-           "                        write one JSON object per sweep\n"
-           "                        point (fl_report --sweep-json)\n"
-        << "  --profile-out=FILE    write the waste-attribution profile\n"
-           "                        as JSON plus FILE.folded (flamegraph\n"
-           "                        folded stacks)\n"
-        << "  --waste-report        print the top-N waste table\n"
-        << "  --blackbox-out=FILE   dump the flight recorder after the\n"
-           "                        run (Chrome trace-event JSON)\n"
-        << "  --blackbox=N          flight-recorder depth per component\n"
-           "                        (default 256; 0 = off)\n"
-        << "  --watchdog-interval=N hang-watchdog window in cycles\n"
-           "                        (default 100000; 0 = off)\n"
-        << "  --watchdog-storm=N    rollbacks/window classified as a\n"
-           "                        rollback storm (default 256)\n"
-        << "  --tail-sample=N       trace 1 in N misses end to end\n"
-           "                        (1 = every miss; byte-identical\n"
-           "                        for any --jobs)\n"
-        << "  --tail-report         print the critical-path stage\n"
-           "                        attribution table (implies\n"
-           "                        --tail-sample=64 if unset)\n"
-        << "  --outliers-out=FILE   write top-K slowest-request\n"
-           "                        dossiers as JSON (implies span\n"
-           "                        tracing like --tail-report)\n"
-        << "  --outliers=K          dossiers to keep (default 10)\n"
-        << "  --help                this message\n";
+    constexpr std::size_t help_column = 24;
+    std::cout << "usage: " << prog << " [options]\n";
+    for (const OptionSpec &o : option_table) {
+        std::string help = o.help;
+        if (std::string(o.name) == "trace")
+            help += " (" + trace::validFlagNames() + ")";
+        std::string line = std::string("  --") + o.name + o.value;
+        if (!help.empty())
+            line.resize(std::max(line.size() + 1, help_column), ' ');
+        for (const char c : help) {
+            line += c;
+            if (c == '\n')
+                line.append(help_column, ' ');
+        }
+        std::cout << line << "\n";
+    }
 }
 
 } // namespace fenceless::harness

@@ -8,59 +8,8 @@
  *     harness::SystemConfig cfg = opts.applyTo(defaults);
  *     if (opts.csv()) ...
  *
- * Recognised options (all optional):
- *     --cores=N            number of cores
- *     --model=sc|tso|rmo   consistency model
- *     --spec=off|on-demand|continuous
- *     --granularity=block|per-store
- *     --overflow=stall|rollback
- *     --sb-size=N          store-buffer entries
- *     --l1-kb=N            L1 size in KiB
- *     --l2-kb=N            L2 size in KiB
- *     --dram-latency=N     cycles
- *     --net-latency=N      crossbar flat latency in cycles
- *     --topology=T         interconnect topology: crossbar|ring|mesh
- *                          (unknown values are fatal, like --model)
- *     --hop-latency=N      per-hop latency for ring/mesh (cycles)
- *     --dir-banks=N        directory banks (power of two, 1..64)
- *     --scale=N            workload scaling factor
- *     --seed=N             workload seed where applicable
- *     --jobs=N             host threads for independent runs
- *                          (0/default = hardware concurrency,
- *                          1 = sequential legacy path)
- *     --csv                machine-readable table output
- *     --trace=f1,f2        structured-trace flags (see trace.hh)
- *     --trace-out=FILE     Chrome trace-event / Perfetto JSON output
- *                          (implies --trace=all when --trace is absent)
- *     --stats-json=FILE    full stat registry as JSON
- *     --stats-interval=N   periodic stat snapshots every N cycles
- *     --sweep-json=FILE    benchmarks that sweep an axis also write
- *                          one JSON object per sweep point (consumed
- *                          by fl_report --sweep-json)
- *     --profile-out=FILE   waste-attribution profile as JSON, plus
- *                          FILE.folded (flamegraph folded stacks)
- *     --waste-report       print the top-N waste table to stdout
- *     --blackbox-out=FILE  dump the flight recorder after the run as
- *                          Chrome trace-event JSON (same format as
- *                          --trace-out, but only the ring tail)
- *     --blackbox=N         flight-recorder depth per component
- *                          (default 256; 0 disables the recorder;
- *                          at most 1048576)
- *     --watchdog-interval=N  hang-watchdog window in cycles
- *                          (default 100000; 0 disables the watchdog)
- *     --watchdog-storm=N   rollbacks per window that classify a hang
- *                          as a rollback storm (default 256)
- *     --tail-sample=N      per-request span tracing: trace 1 in N
- *                          misses end to end (1 = every miss; the
- *                          sampled set is byte-identical for any
- *                          --jobs value)
- *     --tail-report        print the critical-path stage-attribution
- *                          table after the run (implies
- *                          --tail-sample=64 when unset)
- *     --outliers-out=FILE  write the top-K slowest-request dossiers
- *                          as JSON (implies span tracing)
- *     --outliers=K         dossiers to keep (default 10)
- *     --help               print usage and exit
+ * Every binary prints the options it accepts with --help; one table
+ * in options.cc drives both that text and the parser.
  *
  * Output paths (--trace-out, --stats-json, --profile-out) are opened
  * for writing at parse time and rejected immediately when unwritable,

@@ -18,6 +18,11 @@ namespace
  * the task the owner would reach last.  A plain mutex per deque is
  * plenty here: tasks are whole simulation runs (milliseconds to
  * seconds), so queue traffic is negligible next to the work.
+ *
+ * A shared atomic cursor instead would be ~45 lines shorter, but it
+ * raised peak RSS from 55.6 to 70.2 MiB (1.26x, 6/6 alternating 8 s
+ * perfbench `suite` pairs, 4-CPU host), past the benchmark's 15%
+ * bound.  Cause unverified; per-thread malloc arenas are a guess.
  */
 struct WorkerDeque
 {

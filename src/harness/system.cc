@@ -3,49 +3,31 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <iomanip>
 #include <sstream>
 
 #include "base/logging.hh"
 #include "base/provenance.hh"
 #include "base/stats_json.hh"
 #include "base/trace.hh"
-#include "harness/table.hh"
+#include "harness/report.hh"
 #include "isa/interp.hh"
 #include "sim/blackbox.hh"
 
 namespace fenceless::harness
 {
 
-namespace
-{
-
-/**
- * Stat-group / trace-component name of directory bank @p b.  The
- * single-bank system keeps the historical "l2dir" name so every stats,
- * trace and blackbox document stays byte-identical to pre-banking runs.
- */
-std::string
-dirBankName(std::uint32_t banks, std::uint32_t b)
-{
-    return banks == 1 ? std::string("l2dir")
-                      : "l2dir.bank" + std::to_string(b);
-}
-
-/** WaitNode id for directory-side nodes: 0 = legacy, else bank + 1. */
-std::uint32_t
-dirWaitId(std::uint32_t banks, std::uint32_t b)
-{
-    return banks == 1 ? 0 : b + 1;
-}
-
-} // namespace
-
 std::uint32_t
 System::bankOf(Addr addr) const
 {
     return static_cast<std::uint32_t>(addr / config_.l2.block_size)
            & (config_.dir_banks - 1);
+}
+
+std::string
+System::dirBankName(std::uint32_t b) const
+{
+    return config_.dir_banks == 1 ? std::string("l2dir")
+                                  : "l2dir.bank" + std::to_string(b);
 }
 
 std::vector<prof::CodeSym>
@@ -129,7 +111,7 @@ System::System(const SystemConfig &config, const isa::Program &prog)
         tracer.registerComponent("net.rx" + std::to_string(i));
     }
     for (std::uint32_t b = 0; b < config_.dir_banks; ++b) {
-        tracer.registerComponent(dirBankName(config_.dir_banks, b));
+        tracer.registerComponent(dirBankName(b));
         tracer.registerComponent(
             "net.rx" + std::to_string(config_.num_cores + b));
     }
@@ -217,7 +199,7 @@ System::System(const SystemConfig &config, const isa::Program &prog)
         bank_params.banks = config_.dir_banks;
         bank_params.bank = b;
         dirs_.push_back(std::make_unique<mem::Directory>(
-            ctx_, dirBankName(config_.dir_banks, b), bank_params,
+            ctx_, dirBankName(b), bank_params,
             config_.num_cores + b, config_.num_cores, *network_,
             backing_));
     }
@@ -264,15 +246,14 @@ System::run()
     for (auto &core : cores_)
         core->reset();
 
+    const Tick now = ctx_.curTick();
     drv_ = DriverState{};
-    drv_.active = true;
-    drv_.now = ctx_.curTick();
     drv_.next_snapshot = config_.stats_interval > 0
-                             ? drv_.now + config_.stats_interval
+                             ? now + config_.stats_interval
                              : max_tick;
     if (watchdog_) {
-        watchdog_->prime(drv_.now);
-        drv_.next_wd = drv_.now + watchdog_->interval();
+        watchdog_->prime(now);
+        drv_.next_wd = now + watchdog_->interval();
     }
     drv_.boundary = nextDeadline(halted_ == config_.num_cores);
 
@@ -282,7 +263,7 @@ System::run()
     auto prev = setPanicHook([this] {
         std::ostringstream os;
         os << "=== incident dump (panic) ===\n";
-        writeArchState(os);
+        writeArchState(os, *this);
         trace::writeBlackboxTail(os, ctx_.tracer);
         reportBlock(os.str());
     });
@@ -293,7 +274,6 @@ System::run()
         coordinatorStep();
     }
     setPanicHook(std::move(prev));
-    drv_.active = false;
 
     network_->finalizeStats();
     if (config_.tail_sample > 0)
@@ -305,7 +285,6 @@ void
 System::coordinatorStep()
 {
     const Tick b = drv_.boundary;
-    drv_.now = b;
 
     if (b == drv_.next_snapshot) {
         takeSnapshot(b);
@@ -440,135 +419,6 @@ System::finalizeTailTrace()
     *tail_stat_retries_ = retries;
 }
 
-void
-System::writeTailReport(std::ostream &os) const
-{
-    if (config_.tail_sample == 0) {
-        os << "tail report: span tracing was off "
-              "(--tail-sample / --tail-report enables it)\n";
-        return;
-    }
-    const reqtrace::TailAttribution &at = tail_attr_;
-    os << "=== tail report (per-request span attribution) ===\n";
-    os << "sampling: 1 in " << config_.tail_sample
-       << " misses; spans=" << at.spans << " (incl. waiter spans), "
-       << "incomplete=" << tail_spans_.incomplete << "\n";
-    os << "e2e latency (cycles): p50=" << at.e2e_p50 << " p95="
-       << at.e2e_p95 << " p99=" << at.e2e_p99 << " p99.9="
-       << at.e2e_p999 << "\n";
-
-    // The per-stage sums must tile the end-to-end latencies exactly:
-    // spans record boundary events only, so this reconciliation is by
-    // construction -- print it so regressions are visible.
-    std::uint64_t stage_cycles = 0;
-    for (const reqtrace::StageRow &row : at.rows)
-        stage_cycles += row.cycles;
-    os << "stage cycles " << stage_cycles << " / e2e cycles "
-       << at.e2e_cycles
-       << (stage_cycles == at.e2e_cycles ? " (reconciled exactly)"
-                                         : " (MISMATCH)")
-       << "\n\n";
-
-    Table t({"stage", "spans", "cycles", "share%", "p50", "p95", "p99",
-             "p99.9", "tail_own"});
-    for (const reqtrace::StageRow &row : at.rows) {
-        t.addRow({reqtrace::stageName(row.stage),
-                  std::to_string(row.spans),
-                  std::to_string(row.cycles),
-                  fmt(at.e2e_cycles
-                          ? 100.0 * static_cast<double>(row.cycles)
-                                / static_cast<double>(at.e2e_cycles)
-                          : 0.0),
-                  std::to_string(row.p50), std::to_string(row.p95),
-                  std::to_string(row.p99), std::to_string(row.p999),
-                  std::to_string(row.tail_owned)});
-    }
-    t.print(os);
-
-    os << "\ntail ownership (" << at.tail_spans
-       << " spans above p99=" << at.e2e_p99 << "):";
-    for (const reqtrace::StageRow *row : at.tailRanking()) {
-        if (row->tail_owned == 0)
-            continue;
-        os << " " << reqtrace::stageName(row->stage) << "="
-           << row->tail_owned;
-    }
-    os << "\n=== end tail report ===\n";
-}
-
-void
-System::writeOutliers(std::ostream &os) const
-{
-    const std::vector<const reqtrace::Span *> top =
-        reqtrace::topK(tail_spans_, config_.tail_outliers);
-    const std::vector<std::uint64_t> lmsgs =
-        network_->foldedLinkMsgs();
-    const mem::Topology topo = config_.net.topology;
-    const std::uint32_t nn = config_.num_cores + config_.dir_banks;
-
-    os << "{\n  \"schema_version\": 1,\n  \"provenance\": "
-       << provenanceJson() << ",\n  \"sampling_period\": "
-       << config_.tail_sample << ",\n  \"spans\": "
-       << tail_spans_.spans.size() << ",\n  \"outliers\": [";
-    bool first = true;
-    for (const reqtrace::Span *sp : top) {
-        const std::uint32_t bank = bankOf(sp->block);
-        const auto dir_node =
-            static_cast<mem::NodeId>(config_.num_cores + bank);
-        const auto core_node = static_cast<mem::NodeId>(sp->core());
-
-        // The hottest link (whole-run traffic) on the request + reply
-        // route -- routes are pure functions of (src, dst), so this
-        // needs no per-hop events.
-        std::uint64_t hot_msgs = 0;
-        std::int64_t hot_link = -1;
-        if (!lmsgs.empty()) {
-            const auto consider = [&](std::uint32_t l) {
-                if (l < lmsgs.size() &&
-                    (hot_link < 0 || lmsgs[l] > hot_msgs)) {
-                    hot_msgs = lmsgs[l];
-                    hot_link = l;
-                }
-            };
-            mem::forEachRouteLink(topo, nn, core_node, dir_node,
-                                  consider);
-            mem::forEachRouteLink(topo, nn, dir_node, core_node,
-                                  consider);
-        }
-
-        os << (first ? "" : ",") << "\n    {\"req_id\": " << sp->req_id
-           << ", \"core\": " << sp->core() << ", \"seq\": " << sp->seq()
-           << ", \"block\": \"0x" << std::hex << sp->block << std::dec
-           << "\", \"pc\": " << sp->pc << ", \"pc_sym\": \""
-           << symbolizePc(sp->pc) << "\", \"issue\": " << sp->issue
-           << ", \"done\": " << sp->done << ", \"latency\": "
-           << sp->latency() << ", \"waiters\": " << sp->waiters
-           << ", \"retries\": " << sp->retries << ", \"dir_bank\": \""
-           << dirBankName(config_.dir_banks, bank) << "\"";
-        if (hot_link >= 0) {
-            os << ", \"hot_link\": \""
-               << mem::linkName(topo,
-                                static_cast<std::uint32_t>(hot_link))
-               << "\", \"hot_link_msgs\": " << hot_msgs;
-        }
-        os << ", \"stages\": [";
-        bool sfirst = true;
-        for (const reqtrace::SpanStage &st : sp->stages) {
-            os << (sfirst ? "" : ", ") << "{\"stage\": \""
-               << reqtrace::stageName(st.stage) << "\", \"at\": "
-               << st.at << ", \"cycles\": " << st.cycles
-               << ", \"aux\": " << st.aux;
-            if (st.flags & reqtrace::span_flag_retry)
-                os << ", \"retry\": true";
-            os << "}";
-            sfirst = false;
-        }
-        os << "]}";
-        first = false;
-    }
-    os << "\n  ]\n}\n";
-}
-
 Tick
 System::runtimeCycles() const
 {
@@ -677,246 +527,10 @@ System::writeBlackbox(std::ostream &os) const
     trace::writeBlackboxJson(os, ctx_.tracer, provenanceJson());
 }
 
-void
-System::writeBlackboxTail(std::ostream &os,
-                          std::size_t per_component) const
-{
-    trace::writeBlackboxTail(os, ctx_.tracer, per_component);
-}
-
 prof::Profile
 System::profile(const std::string &scope) const
 {
     return ctx_.profiler.snapshot(scope);
-}
-
-std::string
-System::symbolizePc(std::uint64_t pc) const
-{
-    auto it = prog_.code_labels.upper_bound(pc);
-    if (it == prog_.code_labels.begin())
-        return "";
-    --it;
-    std::ostringstream os;
-    os << it->second;
-    if (pc > it->first)
-        os << "+" << (pc - it->first);
-    return os.str();
-}
-
-void
-System::writeArchState(std::ostream &os) const
-{
-    for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-        const cpu::Core &core = *cores_[i];
-        os << "  core_" << i << ": pc=" << core.pc();
-        if (const std::string sym = symbolizePc(core.pc()); !sym.empty())
-            os << " (" << sym << ")";
-        os << " instret=" << core.instret() << " model="
-           << cpu::consistencyModelName(core.model());
-        if (core.halted()) {
-            os << " halted";
-        } else if (core.idle()) {
-            os << " asleep=" << cpu::stallReasonName(core.sleepReason())
-               << " since=" << core.sleepBegin();
-            if (core.hasPendingAccess())
-                os << " pending=0x" << std::hex << core.pendingAddr()
-                   << std::dec;
-        } else {
-            os << " running";
-        }
-        const auto &sb = core.storeBuffer();
-        os << " sb=" << sb.occupancy() << "/" << sb.capacity();
-        if (!specs_.empty()) {
-            const auto &spec = *specs_[i];
-            if (spec.inSpec()) {
-                os << " spec{epoch=" << spec.epoch() << " since="
-                   << spec.epochStartTick() << " watermark="
-                   << spec.watermark() << "}";
-            }
-            if (spec.cooldown() > 0)
-                os << " cooldown=" << spec.cooldown();
-            if (spec.consecutiveRollbacks() > 0)
-                os << " consec_rollbacks="
-                   << spec.consecutiveRollbacks();
-        }
-        os << "\n";
-    }
-}
-
-void
-System::buildWaitGraph(sim::WaitGraph &g) const
-{
-    using sim::WaitNode;
-    using Kind = sim::WaitNode::Kind;
-
-    const std::uint32_t banks = config_.dir_banks;
-
-    // Cores: what is each non-running core waiting for?
-    for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-        const cpu::Core &core = *cores_[i];
-        if (core.halted() || !core.idle())
-            continue;
-        const cpu::StallReason why = core.sleepReason();
-        if (core.hasPendingAccess()) {
-            g.addEdge(WaitNode{Kind::Core, i, 0},
-                      WaitNode{Kind::Mshr, i,
-                               l1s_[i]->blockAlign(core.pendingAddr())},
-                      cpu::stallReasonName(why));
-        } else if (why == cpu::StallReason::SpecLimit) {
-            g.addEdge(WaitNode{Kind::Core, i, 0},
-                      WaitNode{Kind::SpecEpoch, i, 0},
-                      cpu::stallReasonName(why));
-        } else {
-            // All remaining sleep reasons wait on store-buffer state
-            // (drain, space, or overlap clearing).
-            g.addEdge(WaitNode{Kind::Core, i, 0},
-                      WaitNode{Kind::StoreBuffer, i, 0},
-                      cpu::stallReasonName(why));
-        }
-    }
-
-    // Store buffers: issued drains wait on the L1 miss machinery.
-    for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-        const auto &sb = cores_[i]->storeBuffer();
-        for (const auto &e : sb.entries()) {
-            if (!e.issued)
-                continue;
-            g.addEdge(WaitNode{Kind::StoreBuffer, i, 0},
-                      WaitNode{Kind::Mshr, i,
-                               l1s_[i]->blockAlign(e.addr)},
-                      "drain store issued");
-        }
-        if (sb.retryPending()) {
-            g.addEdge(WaitNode{Kind::StoreBuffer, i, 0},
-                      WaitNode{Kind::Mshr, i, 0},
-                      "drain retry parked (MSHR backpressure)");
-        }
-    }
-
-    // Speculation: an open epoch commits only after the store buffer
-    // drains to the watermark.
-    for (std::uint32_t i = 0; i < specs_.size(); ++i) {
-        if (specs_[i]->inSpec()) {
-            std::ostringstream label;
-            label << "commit waits for drain to watermark "
-                  << specs_[i]->watermark();
-            g.addEdge(WaitNode{Kind::SpecEpoch, i, 0},
-                      WaitNode{Kind::StoreBuffer, i, 0}, label.str());
-        }
-    }
-
-    // L1 MSHRs: outstanding misses wait on directory transactions;
-    // overflow-parked fills wait on the local epoch ending.
-    for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-        l1s_[i]->forEachMshr([&](const mem::L1Cache::Mshr &m) {
-            g.addEdge(WaitNode{Kind::Mshr, i, m.block_addr},
-                      WaitNode{Kind::DirTxn,
-                               dirWaitId(banks, bankOf(m.block_addr)),
-                               m.block_addr},
-                      m.want_m ? "GetM outstanding"
-                               : "GetS outstanding");
-            if (m.fill_blocked) {
-                g.addEdge(WaitNode{Kind::Mshr, i, m.block_addr},
-                          WaitNode{Kind::SpecEpoch, i, 0},
-                          "fill parked on speculative overflow");
-            }
-        });
-    }
-
-    // Directory transactions: what each active transaction awaits.
-    // Bank-major order; each bank's forEachTxn is block-address sorted,
-    // so dossiers stay deterministic at every bank count.
-    for (std::uint32_t b = 0; b < banks; ++b) {
-    const mem::Directory &bank_dir = *dirs_[b];
-    const std::uint32_t wid = dirWaitId(banks, b);
-    bank_dir.forEachTxn([&](const mem::Directory::TxnView &t) {
-        const WaitNode txn{Kind::DirTxn, wid, t.block};
-        const std::string phase = t.phase;
-        if (phase == "dram") {
-            g.addEdge(txn, WaitNode{Kind::Dram, wid, 0},
-                      "awaiting DRAM fill");
-        } else if (phase == "fwd") {
-            const mem::L2Block *blk = bank_dir.findBlock(t.block);
-            if (blk && blk->hasOwner()) {
-                std::ostringstream label;
-                label << "awaiting Fwd*Ack from owner (serving "
-                      << mem::msgTypeName(t.req_type) << " from node "
-                      << t.requester << ")";
-                g.addEdge(txn,
-                          WaitNode{Kind::Core,
-                                   static_cast<std::uint32_t>(
-                                       blk->owner),
-                                   0},
-                          label.str());
-            }
-        } else if (phase == "inv-acks") {
-            const mem::L2Block *blk = bank_dir.findBlock(t.block);
-            if (blk) {
-                for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
-                    if (blk->isSharer(c)) {
-                        g.addEdge(txn, WaitNode{Kind::Core, c, 0},
-                                  "awaiting InvAck");
-                    }
-                }
-            }
-        }
-        // A recall transaction unblocks the request parked behind it;
-        // victim and blocked request both live in this bank's slice.
-        if (t.is_recall && t.has_resume) {
-            g.addEdge(WaitNode{Kind::DirTxn, wid, t.resume_block}, txn,
-                      "blocked on recall of L2 victim");
-        }
-    });
-    }
-
-    // Network channels with traffic still in flight: informational --
-    // a populated channel means delivery (progress) is still coming.
-    network_->forEachChannel([&](mem::NodeId src, mem::NodeId dst,
-                                 const mem::Network::Channel &ch) {
-        if (ch.in_flight == 0)
-            return;
-        std::ostringstream label;
-        label << ch.in_flight << " message(s) in flight";
-        const std::uint32_t chan_id = (src << 8) | dst;
-        if (dst >= config_.num_cores) {
-            g.addEdge(WaitNode{Kind::Channel, chan_id, 0},
-                      WaitNode{Kind::Directory,
-                               dirWaitId(banks, dst - config_.num_cores),
-                               0},
-                      label.str());
-        } else {
-            g.addEdge(WaitNode{Kind::Channel, chan_id, 0},
-                      WaitNode{Kind::Core, dst, 0}, label.str());
-        }
-    });
-}
-
-void
-System::writeStallDossier(std::ostream &os) const
-{
-    os << "=== stall dossier @"
-       << (drv_.active ? drv_.now : curTick()) << " ===\n";
-    os << "build: " << provenance::oneLine() << "\n";
-    if (watchdog_report_.cause != sim::Watchdog::Cause::None) {
-        os << "watchdog: cause="
-           << sim::Watchdog::causeName(watchdog_report_.cause)
-           << " window=[" << watchdog_report_.window_begin << ", "
-           << watchdog_report_.fire_tick << "] instret="
-           << watchdog_report_.instret << " rollbacks_in_window="
-           << watchdog_report_.rollbacks_in_window << "\n";
-    }
-    if (network_->droppedMsgs() > 0) {
-        os << "network: " << network_->droppedMsgs()
-           << " message(s) dropped by fault injection\n";
-    }
-    os << "architectural state:\n";
-    writeArchState(os);
-    sim::WaitGraph g;
-    buildWaitGraph(g);
-    g.print(os);
-    writeBlackboxTail(os);
-    os << "=== end dossier ===\n";
 }
 
 void
@@ -928,7 +542,7 @@ System::onWatchdogFire(const sim::Watchdog::Report &report)
     os << "watchdog: no forward progress for " << config_.watchdog_interval
        << " cycles; aborting the run\n";
     std::ostringstream dossier;
-    writeStallDossier(dossier);
+    writeStallDossier(dossier, *this, report.fire_tick);
     dossier_ = dossier.str();
     reportBlock(os.str() + dossier_);
 }

@@ -3,7 +3,9 @@
  * Whole-system assembly: N cores with private L1s, a shared L2 with
  * directory, an interconnect, DRAM, and (optionally) one fence-
  * speculation controller per core.  This is the public entry point the
- * examples, tests and benchmarks build on.
+ * examples, tests and benchmarks build on; the reports rendered from
+ * a System (tail report, outliers, stall dossier) are in
+ * harness/report.hh.
  *
  * A System owns one SimContext (event queue, stat registry, trace
  * sink, profiler) and drives it on the calling thread.  run() advances
@@ -29,7 +31,6 @@
 #include "mem/network.hh"
 #include "sim/reqtrace.hh"
 #include "sim/sim_object.hh"
-#include "sim/waitgraph.hh"
 #include "sim/watchdog.hh"
 
 namespace fenceless::harness
@@ -222,7 +223,7 @@ class System
     std::uint32_t numCores() const { return config_.num_cores; }
     cpu::Core &core(std::uint32_t i) { return *cores_.at(i); }
     const cpu::Core &core(std::uint32_t i) const { return *cores_.at(i); }
-    mem::L1Cache &l1(std::uint32_t i) { return *l1s_.at(i); }
+    const mem::L1Cache &l1(std::uint32_t i) const { return *l1s_.at(i); }
 
     /** Directory banks actually built (config dir_banks). */
     std::uint32_t dirBanks() const
@@ -237,8 +238,22 @@ class System
     /** Bank 0 -- the whole directory when dir_banks == 1. */
     mem::Directory &directory() { return *dirs_.at(0); }
 
+    /** The bank whose slice @p addr falls in. */
+    std::uint32_t bankOf(Addr addr) const;
+
+    /**
+     * Stat-group / trace-component name of directory bank @p b.  The
+     * single-bank system keeps the historical "l2dir" name so every
+     * stats, trace and blackbox document stays byte-identical to
+     * pre-banking runs.
+     */
+    std::string dirBankName(std::uint32_t b) const;
+
+    const mem::Network &network() const { return *network_; }
+    const isa::Program &program() const { return prog_; }
+
     /** The speculation controller for core @p i (null when disabled). */
-    spec::SpecController *specController(std::uint32_t i)
+    const spec::SpecController *specController(std::uint32_t i) const
     {
         return specs_.empty() ? nullptr : specs_.at(i).get();
     }
@@ -280,16 +295,9 @@ class System
 
     /**
      * The stall dossier captured when the watchdog fired (empty
-     * otherwise): per-core architectural state, the wait-for graph with
-     * deadlock cycles highlighted, and the flight-recorder tail.
+     * otherwise); see harness::writeStallDossier.
      */
     const std::string &dossier() const { return dossier_; }
-
-    /**
-     * Write a stall dossier for the system's *current* state (callable
-     * at any point, not just after a watchdog abort).
-     */
-    void writeStallDossier(std::ostream &os) const;
 
     /**
      * Write the flight-recorder contents as a Chrome trace-event JSON
@@ -297,20 +305,6 @@ class System
      * through the same tooling.
      */
     void writeBlackbox(std::ostream &os) const;
-
-    /** Write the human-readable flight-recorder tail. */
-    void writeBlackboxTail(std::ostream &os,
-                           std::size_t per_component = 8) const;
-
-    /**
-     * Walk every blocking component and register who-waits-on-whom
-     * edges (see sim/waitgraph.hh).  Deterministic: iteration follows
-     * index and address order only.
-     */
-    void buildWaitGraph(sim::WaitGraph &g) const;
-
-    /** "label+offset" for a code pc, or "" when no label covers it. */
-    std::string symbolizePc(std::uint64_t pc) const;
 
     /**
      * Write the full stat registry -- and the periodic snapshot time
@@ -333,24 +327,6 @@ class System
     {
         return tail_attr_;
     }
-
-    /**
-     * Write the critical-path stage-attribution table: per-stage
-     * contribution percentiles (p50/p95/p99/p99.9), cycle shares that
-     * reconcile exactly with the spans' end-to-end latencies, and the
-     * tail-ownership ranking (which stage dominates above-p99 spans).
-     * No-op (with a notice) when span tracing was off.
-     */
-    void writeTailReport(std::ostream &os) const;
-
-    /**
-     * Write the top-K slowest-request dossiers as JSON: per-stage
-     * timeline, symbolized issuing PC, home directory bank, and the
-     * hottest link on the request's route (ring/mesh).  K is
-     * `config.tail_outliers`; selection is ordered by (latency desc,
-     * req id asc), so the document is deterministic.
-     */
-    void writeOutliers(std::ostream &os) const;
 
     /**
      * Symbolized waste profile of the run (empty unless
@@ -390,16 +366,12 @@ class System
     /** Coordinator state of the run in progress. */
     struct DriverState
     {
-        bool active = false;   //!< a run() is in progress
-        Tick now = 0;          //!< the deadline being coordinated
         Tick boundary = 0;     //!< run-to target of the current step
         Tick next_snapshot = max_tick;
         Tick next_wd = max_tick;
         bool done = false;
     };
 
-    /** The bank whose slice @p addr falls in. */
-    std::uint32_t bankOf(Addr addr) const;
     std::vector<prof::CodeSym> codeSyms() const;
     std::vector<prof::DataSym> dataSyms() const;
 
@@ -408,7 +380,6 @@ class System
 
     void takeSnapshot(Tick tick);
     void onWatchdogFire(const sim::Watchdog::Report &report);
-    void writeArchState(std::ostream &os) const;
     void finalizeTailTrace();
 
     SystemConfig config_;

@@ -7,11 +7,45 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <regex>
+#include <sstream>
+#include <string>
+
 #include "harness/system.hh"
 #include "workload/workload.hh"
 
 namespace fenceless::test
 {
+
+/**
+ * Blank out what depends on the build rather than the run: the git id
+ * and build type in every provenance object, and a dossier's "build:"
+ * line.
+ */
+inline std::string
+normalizeBuild(const std::string &text)
+{
+    std::string out = std::regex_replace(
+        text, std::regex("\"git\": \"[^\"]*\""), "\"git\": \"<git>\"");
+    out = std::regex_replace(out,
+                             std::regex("\"build_type\": \"[^\"]*\""),
+                             "\"build_type\": \"<build>\"");
+    return std::regex_replace(out, std::regex("\nbuild: [^\n]*"),
+                              "\nbuild: <build>");
+}
+
+/** Compare @p actual with the golden file tests/data/@p name. */
+inline void
+expectGolden(const std::string &name, const std::string &actual)
+{
+    const std::string path = std::string(FENCELESS_TEST_DATA_DIR) + "/" + name;
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden " << path;
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(actual, golden.str()) << "golden " << path;
+}
 
 /** A small, fast system configuration for tests. */
 inline harness::SystemConfig

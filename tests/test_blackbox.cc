@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "sim/blackbox.hh"
 #include "sim/waitgraph.hh"
@@ -368,7 +369,7 @@ TEST(Blackbox, TailNamesComponentsAndEvents)
     harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());
     std::ostringstream os;
-    sys.writeBlackboxTail(os);
+    trace::writeBlackboxTail(os, sys.tracer());
     const std::string tail = os.str();
     EXPECT_NE(tail.find("flight recorder tail"), std::string::npos);
     EXPECT_NE(tail.find("l1_0:"), std::string::npos);
@@ -387,9 +388,40 @@ TEST(Dossier, HealthySystemReportsNoCycle)
     harness::System sys(cfg, prog);
     ASSERT_TRUE(sys.run());
     std::ostringstream os;
-    sys.writeStallDossier(os);
+    harness::writeStallDossier(os, sys, sys.curTick());
     const std::string dossier = os.str();
     EXPECT_NE(dossier.find("stall dossier"), std::string::npos);
     EXPECT_NE(dossier.find("architectural state:"), std::string::npos);
     EXPECT_EQ(dossier.find("DEADLOCK CYCLE"), std::string::npos);
+}
+
+TEST(Dossier, WatchdogDossierMatchesGolden)
+{
+    // deadlock_demo's machine (CI diffs that binary's stdout against
+    // the same golden): default caches, 2 TSO cores, a 5000-cycle
+    // watchdog window.
+    workload::SeededDeadlock wl;
+    harness::SystemConfig cfg;
+    cfg.num_cores = 2;
+    cfg.model = cpu::ConsistencyModel::TSO;
+    cfg.watchdog_interval = 5'000;
+    auto sys = buildDeadlockedSystem(wl, cfg);
+    ASSERT_FALSE(sys->run());
+    ASSERT_TRUE(sys->hung());
+    expectGolden("deadlock_dossier_golden.txt",
+                 normalizeBuild(sys->dossier()));
+}
+
+TEST(Dossier, PanicPrintsIncidentDump)
+{
+    // A panic mid-run prints the architectural state of every core and
+    // the flight-recorder tail before aborting.
+    workload::LocalLockStream wl;
+    harness::SystemConfig cfg = testConfig(2);
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System sys(cfg, prog);
+    sys.context().eventq.scheduleOneShot(
+        10, [] { panic("injected invariant failure"); });
+    EXPECT_DEATH(sys.run(), "incident dump.*core_1: pc=.*"
+                            "flight recorder tail");
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <set>
 #include <sstream>
 
@@ -86,6 +87,35 @@ TEST(Options, UnknownOptionIsFatal)
 {
     EXPECT_EXIT(parse({"--bogus"}), testing::ExitedWithCode(1),
                 "unknown option");
+}
+
+TEST(Options, HelpMatchesGolden)
+{
+    testing::internal::CaptureStdout();
+    Options::printUsage("prog");
+    expectGolden("help_golden.txt", testing::internal::GetCapturedStdout());
+}
+
+TEST(Options, EveryOutputOptionFailsFastOnAnUnwritablePath)
+{
+    // Every option --help lists that names an output file (*-out,
+    // *-json) must be refused at parse time when it cannot be opened.
+    testing::internal::CaptureStdout();
+    Options::printUsage("prog");
+    const std::string usage = testing::internal::GetCapturedStdout();
+    const std::regex output_opt("--([a-z-]+-(out|json))=");
+    std::set<std::string> names;
+    for (auto it = std::sregex_iterator(usage.begin(), usage.end(),
+                                        output_opt);
+         it != std::sregex_iterator(); ++it)
+        names.insert((*it)[1]);
+    EXPECT_EQ(names.size(), 6u);
+    for (const std::string &name : names) {
+        EXPECT_EXIT(parse({"--" + name + "=/nonexistent-dir/x"}),
+                    testing::ExitedWithCode(1),
+                    "fatal: --" + name + ": cannot open")
+            << name;
+    }
 }
 
 TEST(Options, TopologyAndBankingFlags)

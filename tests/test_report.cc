@@ -19,6 +19,7 @@
 #include "base/stats.hh"
 #include "base/stats_json.hh"
 #include "sim/profiler.hh"
+#include "tests/sim_test_util.hh"
 
 using namespace fenceless;
 using namespace fenceless::analysis;
@@ -316,7 +317,7 @@ TEST(ReportRender, MarkdownMatchesGoldenByteForByte)
         buildReport(fixtureRuns(), {}, "topology", 10);
     std::ostringstream os;
     writeMarkdown(os, model);
-    EXPECT_EQ(os.str(), slurp(dataPath("report_golden.md")));
+    test::expectGolden("report_golden.md", os.str());
 }
 
 TEST(ReportRender, OutputIsDeterministic)

@@ -31,9 +31,12 @@
 #include <string>
 #include <vector>
 
+#include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
+#include "sim/blackbox.hh"
 #include "sim/reqtrace.hh"
+#include "tests/sim_test_util.hh"
 #include "workload/microbench.hh"
 
 using namespace fenceless;
@@ -494,12 +497,12 @@ runTail(std::uint64_t period)
     }
     {
         std::ostringstream os;
-        sys.writeTailReport(os);
+        harness::writeTailReport(os, sys);
         r.report = os.str();
     }
     {
         std::ostringstream os;
-        sys.writeOutliers(os);
+        harness::writeOutliers(os, sys);
         r.outliers = os.str();
     }
     {
@@ -542,10 +545,32 @@ TEST(TailTrace, EveryMissReconcilesExactly)
     EXPECT_EQ(at.spans, set.spans.size());
 
     std::ostringstream os;
-    sys.writeTailReport(os);
+    harness::writeTailReport(os, sys);
     EXPECT_NE(os.str().find("(reconciled exactly)"), std::string::npos)
         << os.str();
     EXPECT_EQ(os.str().find("MISMATCH"), std::string::npos) << os.str();
+}
+
+TEST(TailTrace, ReportAndOutliersMatchGoldens)
+{
+    // A banked mesh with every miss traced: the goldens pin the stage
+    // table, the dossier fields (symbolized pc, home bank, hot link)
+    // and the JSON layout byte for byte.
+    harness::SystemConfig cfg = tailConfig(1);
+    cfg.num_cores = 16;
+    cfg.withTopology(mem::Topology::Mesh).withDirBanks(4);
+    cfg.tail_outliers = 10;
+    workload::SpinlockCrit wl;
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System sys(cfg, prog);
+    ASSERT_TRUE(sys.run());
+
+    std::ostringstream report, outliers;
+    harness::writeTailReport(report, sys);
+    harness::writeOutliers(outliers, sys);
+    test::expectGolden("tail_report_golden.txt", report.str());
+    test::expectGolden("outliers_golden.json",
+                       test::normalizeBuild(outliers.str()));
 }
 
 TEST(TailTrace, ByteIdenticalInsideParallelSweep)
@@ -644,7 +669,7 @@ TEST(TailTrace, BlackboxIdenticalWithSpansOnAndOff)
         EXPECT_TRUE(sys.run());
         std::ostringstream json, tail;
         sys.writeBlackbox(json);
-        sys.writeBlackboxTail(tail);
+        trace::writeBlackboxTail(tail, sys.tracer());
         return std::make_pair(json.str(), tail.str());
     };
     const auto off = dumps(0);
