@@ -82,16 +82,6 @@ PercentileSketch::add(double v, std::uint64_t times)
     total_ += times;
 }
 
-void
-PercentileSketch::merge(const PercentileSketch &other)
-{
-    if (other.counts_.size() > counts_.size())
-        counts_.resize(other.counts_.size(), 0);
-    for (std::size_t i = 0; i < other.counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    total_ += other.total_;
-}
-
 double
 PercentileSketch::quantile(double q) const
 {
@@ -158,42 +148,6 @@ Distribution::sample(double v, std::uint64_t times)
              / static_cast<double>(count_);
     m2_ += static_cast<double>(times) * delta * (v - mean_);
     sketch_.add(v, times);
-}
-
-void
-Distribution::merge(std::uint64_t count, double sum, double mean,
-                    double m2, double min, double max,
-                    const PercentileSketch *sketch)
-{
-    if (count == 0)
-        return;
-    if (sketch)
-        sketch_.merge(*sketch);
-    if (count_ == 0) {
-        count_ = count;
-        sum_ = sum;
-        mean_ = mean;
-        m2_ = m2;
-        min_ = min;
-        max_ = max;
-        return;
-    }
-    // Chan et al. pairwise combine: exact for the counts and stable
-    // for the second moment, so folding per-producer accumulators in a
-    // fixed order gives one deterministic result.
-    const std::uint64_t total = count_ + count;
-    const double delta = mean - mean_;
-    m2_ += m2 + delta * delta * static_cast<double>(count_)
-                     * static_cast<double>(count)
-                     / static_cast<double>(total);
-    mean_ += delta * static_cast<double>(count)
-             / static_cast<double>(total);
-    count_ = total;
-    sum_ += sum;
-    if (min < min_)
-        min_ = min;
-    if (max > max_)
-        max_ = max;
 }
 
 double

@@ -92,19 +92,13 @@ class Scalar : public Stat
  * quantile: p99.9 reads from a (sparser-populated) bucket the same way
  * p50 does, so exposing p999 for tail-latency work needed no extra
  * sub-bucketing -- 8/octave already holds every estimate, however deep
- * in the tail, to one bucket (~6%) of the true sample.  All
- * state is integer counts, so merging two sketches is an elementwise
- * add -- commutative and associative -- which makes the estimates
- * merge-stable: folding per-producer sketches in any grouping lands on
- * the same counts as one accumulation, bucket for bucket.
+ * in the tail, to one bucket (~6%) of the true sample.  All state is
+ * integer counts, so the estimates do not depend on sample order.
  */
 class PercentileSketch
 {
   public:
     void add(double v, std::uint64_t times = 1);
-
-    /** Elementwise-add @p other's bucket counts into this sketch. */
-    void merge(const PercentileSketch &other);
 
     /**
      * Nearest-rank quantile estimate for @p q in (0, 1]: the
@@ -141,18 +135,6 @@ class Distribution : public Stat
     using Stat::Stat;
 
     void sample(double v, std::uint64_t times = 1);
-
-    /**
-     * Fold an independently accumulated Welford state into this
-     * distribution (Chan's parallel-combine formula).  The network
-     * keeps one accumulator per node and folds them in node order at
-     * the end of the run.  A producer that also kept a
-     * PercentileSketch passes it as @p sketch so the percentile
-     * estimates merge too.
-     */
-    void merge(std::uint64_t count, double sum, double mean, double m2,
-               double min, double max,
-               const PercentileSketch *sketch = nullptr);
 
     std::uint64_t samples() const { return count_; }
     double total() const { return sum_; }

@@ -53,8 +53,13 @@ namespace fenceless::statistics
  *   2  distributions gain "p999" (tail-latency observability, PR 10).
  *      Additive, but bumped anyway so consumers that *require* p999
  *      can tell old artifacts apart; loaders accept [1, 2].
+ *   3  snapshots carry live network counters (they read zero before:
+ *      the network group was folded only at end of run), network.msgs
+ *      and network.bytes count messages sent, and the provenance
+ *      sim_mode stanza drops its constant parallel_sim and shards
+ *      fields; loaders accept [1, 3].
  */
-constexpr int stats_schema_version = 2;
+constexpr int stats_schema_version = 3;
 
 /**
  * Unit of a stat, derived from the registry's naming conventions --

@@ -275,7 +275,7 @@ System::run()
     }
     setPanicHook(std::move(prev));
 
-    network_->finalizeStats();
+    network_->foldLinkStats();
     if (config_.tail_sample > 0)
         finalizeTailTrace();
     return !hung_ && halted_ == config_.num_cores;
@@ -342,6 +342,7 @@ System::nextDeadline(bool all_halted) const
 void
 System::takeSnapshot(Tick tick)
 {
+    network_->foldLinkStats();
     std::ostringstream os;
     statistics::printGroupsJson(os, ctx_.stats);
     snapshots_.push_back(StatSnapshot{tick, os.str()});
@@ -352,8 +353,7 @@ System::provenanceJson() const
 {
     std::string p = provenance::jsonObject();
     std::ostringstream extra;
-    extra << ", \"sim_mode\": {\"parallel_sim\": 0, \"shards\": 1"
-          << ", \"dir_banks\": " << config_.dir_banks
+    extra << ", \"sim_mode\": {\"dir_banks\": " << config_.dir_banks
           << ", \"topology\": \""
           << mem::topologyName(config_.net.topology) << "\"}";
     const auto pos = p.rfind('}');

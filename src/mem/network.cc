@@ -213,8 +213,8 @@ struct PendingLater
 Network::Network(sim::SimContext &ctx, const std::string &name,
                  const Params &params)
     : SimObject(ctx, name), params_(params),
-      stat_msgs_(statGroup().addScalar("msgs", "messages delivered")),
-      stat_bytes_(statGroup().addScalar("bytes", "bytes delivered")),
+      stat_msgs_(statGroup().addScalar("msgs", "messages sent")),
+      stat_bytes_(statGroup().addScalar("bytes", "bytes sent")),
       stat_data_msgs_(statGroup().addScalar("data_msgs",
                                             "data-carrying messages")),
       stat_ctrl_msgs_(statGroup().addScalar("ctrl_msgs",
@@ -298,7 +298,7 @@ Network::send(Msg msg)
         std::find(params_.drop_fwd_acks_for.begin(),
                   params_.drop_fwd_acks_for.end(),
                   msg.block_addr) != params_.drop_fwd_acks_for.end()) {
-        ++src.tx_dropped;
+        ++stat_dropped_;
         return;
     }
 
@@ -322,7 +322,6 @@ Network::send(Msg msg)
     }
     msg.hops = static_cast<std::uint8_t>(
         std::min<std::uint32_t>(hops, 255));
-    src.tx_hops += hops;
 
     if (src.chans.size() <= msg.dst)
         src.chans.resize(msg.dst + 1);
@@ -336,12 +335,13 @@ Network::send(Msg msg)
     // channel's totals, added along the route by foldLinks().
     ch.busy += serialization;
 
-    ++src.tx_msgs;
-    src.tx_bytes += msg.sizeBytes();
+    ++stat_msgs_;
+    stat_bytes_ += msg.sizeBytes();
+    stat_hops_ += hops;
     if (msg.hasData())
-        ++src.tx_data_msgs;
+        ++stat_data_msgs_;
     else
-        ++src.tx_ctrl_msgs;
+        ++stat_ctrl_msgs_;
 
     Node &dst = nodes_[msg.dst];
     dst.heap.push_back(PendingMsg{std::move(msg), arrival, ++ch.seq});
@@ -361,28 +361,6 @@ Network::armIngress(Node &n)
 }
 
 void
-Network::rxSample(Node &n, double v)
-{
-    // Same recurrence as Distribution::sample so the node-order fold in
-    // finalizeStats() reproduces one long single-threaded accumulation.
-    if (n.rx_count == 0) {
-        n.rx_min = v;
-        n.rx_max = v;
-    } else {
-        if (v < n.rx_min)
-            n.rx_min = v;
-        if (v > n.rx_max)
-            n.rx_max = v;
-    }
-    ++n.rx_count;
-    n.rx_sum += v;
-    const double delta = v - n.rx_mean;
-    n.rx_mean += delta / static_cast<double>(n.rx_count);
-    n.rx_m2 += delta * (v - n.rx_mean);
-    n.rx_sketch.add(v);
-}
-
-void
 Network::ingressFire(NodeId id)
 {
     Node &n = nodes_[id];
@@ -394,10 +372,8 @@ Network::ingressFire(NodeId id)
 
         const Msg &msg = pm.msg;
         const Tick latency = now - msg.sent_tick;
-        rxSample(n, static_cast<double>(latency));
-        if (n.delivered_from.size() <= msg.src)
-            n.delivered_from.resize(msg.src + 1, 0);
-        ++n.delivered_from[msg.src];
+        stat_msg_latency_.sample(static_cast<double>(latency));
+        ++nodes_[msg.src].chans[id].delivered;
         if (tracer().wants(trace::Flag::Net)) {
             tracer().record(n.trace_id, trace::EventKind::NetHop, now,
                             msg.req_id, latency,
@@ -447,50 +423,24 @@ Network::foldedLinkMsgs() const
 }
 
 void
-Network::finalizeStats()
+Network::foldLinkStats()
 {
-    if (finalized_)
+    if (params_.topology == Topology::Crossbar)
         return;
-    finalized_ = true;
-    std::uint64_t msgs = 0, bytes = 0, data = 0, ctrl = 0, dropped = 0;
-    std::uint64_t hops = 0;
-    for (const Node &n : nodes_) {
-        msgs += n.tx_msgs;
-        bytes += n.tx_bytes;
-        data += n.tx_data_msgs;
-        ctrl += n.tx_ctrl_msgs;
-        dropped += n.tx_dropped;
-        hops += n.tx_hops;
+    // Report the hot spot of the per-link occupancy.
+    std::vector<std::uint64_t> lmsgs, lbusy;
+    foldLinks(lmsgs, lbusy);
+    std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
+    for (std::size_t l = 0; l < lmsgs.size(); ++l) {
+        if (lmsgs[l] == 0)
+            continue;
+        ++used;
+        hot_msgs = std::max(hot_msgs, lmsgs[l]);
+        hot_busy = std::max(hot_busy, lbusy[l]);
     }
-    stat_msgs_ = msgs;
-    stat_bytes_ = bytes;
-    stat_data_msgs_ = data;
-    stat_ctrl_msgs_ = ctrl;
-    stat_dropped_ = dropped;
-    stat_hops_ = hops;
-    if (params_.topology != Topology::Crossbar) {
-        // Report the hot spot of the per-link occupancy.
-        std::vector<std::uint64_t> lmsgs, lbusy;
-        foldLinks(lmsgs, lbusy);
-        std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
-        for (std::size_t l = 0; l < lmsgs.size(); ++l) {
-            if (lmsgs[l] == 0)
-                continue;
-            ++used;
-            hot_msgs = std::max(hot_msgs, lmsgs[l]);
-            hot_busy = std::max(hot_busy, lbusy[l]);
-        }
-        stat_links_used_ = used;
-        stat_hot_link_msgs_ = hot_msgs;
-        stat_hot_link_busy_ = hot_busy;
-    }
-    for (Node &n : nodes_) {
-        if (n.rx_count) {
-            stat_msg_latency_.merge(n.rx_count, n.rx_sum, n.rx_mean,
-                                    n.rx_m2, n.rx_min, n.rx_max,
-                                    &n.rx_sketch);
-        }
-    }
+    stat_links_used_ = used;
+    stat_hot_link_msgs_ = hot_msgs;
+    stat_hot_link_busy_ = hot_busy;
 }
 
 } // namespace fenceless::mem

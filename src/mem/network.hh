@@ -26,7 +26,7 @@
  * A route is a pure function of (src, dst), so send() only bumps the
  * channel's message count and busy cycles; the fold walks each used
  * channel's route once, in node order, and adds the channel totals to
- * every link on it (hot-link occupancy at finalizeStats(), the
+ * every link on it (hot-link occupancy at foldLinkStats(), the
  * per-link message vector of foldedLinkMsgs()).  Shared-link *timing*
  * contention is deliberately not modeled: an arrival time is a pure
  * function of the sending channel's state.
@@ -39,9 +39,10 @@
  * function of the message timing, never of event-queue insertion
  * order, and every stats, trace and blackbox document depends on it.
  *
- * Stats follow the same discipline: each node accumulates its own tx
- * counters and rx latency moments, and finalizeStats() folds them into
- * the "network" stat group in node order at end of run.
+ * The "network" stat group is counted as messages move: send() bumps
+ * the traffic counters (msgs and bytes count messages sent), and each
+ * delivery samples msg_latency, so the group is live at any tick.  Only
+ * the link-occupancy summary is derived, by foldLinkStats().
  */
 
 #pragma once
@@ -182,11 +183,11 @@ class Network : public sim::SimObject
     void send(Msg msg);
 
     /**
-     * Fold the per-node counters into the "network" stat group (node
-     * order, idempotent).  The System calls this once at end of run in
-     * every mode; until then the group's scalars read zero.
+     * Set links_used and hot_link_{msgs,busy} from the per-channel
+     * totals so far (ring/mesh only; idempotent).  The System calls it
+     * before every stat snapshot and at end of run.
      */
-    void finalizeStats();
+    void foldLinkStats();
 
     // --- stall-dossier inspection ---------------------------------------
 
@@ -205,14 +206,8 @@ class Network : public sim::SimObject
             const Node &src = nodes_[s];
             for (NodeId d = 0; d < src.chans.size(); ++d) {
                 const TxChan &ch = src.chans[d];
-                if (ch.seq == 0)
-                    continue;
-                std::uint64_t delivered = 0;
-                if (d < nodes_.size() &&
-                    s < nodes_[d].delivered_from.size()) {
-                    delivered = nodes_[d].delivered_from[s];
-                }
-                fn(s, d, Channel{ch.last_arrival, ch.seq - delivered});
+                if (ch.seq != 0)
+                    fn(s, d, Channel{ch.last_arrival, ch.seq - ch.delivered});
             }
         }
     }
@@ -222,21 +217,14 @@ class Network : public sim::SimObject
 
     /**
      * Per-link message counts (indexed by link id; empty on the
-     * crossbar), from the same per-channel fold as finalizeStats().
+     * crossbar), from the same per-channel fold as foldLinkStats().
      * Callable at any point (end-of-run reports use it to name each
      * sampled request's hottest link).
      */
     std::vector<std::uint64_t> foldedLinkMsgs() const;
 
     /** Fault-injected drops so far (see Params::drop_fwd_acks_for). */
-    std::uint64_t
-    droppedMsgs() const
-    {
-        std::uint64_t total = 0;
-        for (const Node &n : nodes_)
-            total += n.tx_dropped;
-        return total;
-    }
+    std::uint64_t droppedMsgs() const { return stat_dropped_.count(); }
 
   private:
     /**
@@ -247,40 +235,23 @@ class Network : public sim::SimObject
     struct TxChan
     {
         Tick last_arrival = 0;
-        std::uint64_t seq = 0;  //!< sends so far (becomes chan_seq)
-        std::uint64_t busy = 0; //!< serialization cycles of those sends
+        std::uint64_t seq = 0;       //!< sends so far (becomes chan_seq)
+        std::uint64_t delivered = 0; //!< of those, handed to the receiver
+        std::uint64_t busy = 0;      //!< serialization cycles of the sends
     };
 
     /**
-     * Per-node state: the tx counters this node produces as a source
-     * (link occupancy lives in its channels, not per link) and the
-     * ingress heap + rx accumulators it owns as a destination.
+     * Per-node state: its channels as a source (link occupancy lives
+     * in them, not per link) and the ingress heap it owns as a
+     * destination.
      */
     struct Node
     {
         MsgReceiver *receiver = nullptr;
         std::uint16_t trace_id = 0; //!< "net.rxN" track
-
-        // tx side (this node as msg.src)
-        std::vector<TxChan> chans; //!< indexed by dst
-        std::uint64_t tx_msgs = 0;
-        std::uint64_t tx_bytes = 0;
-        std::uint64_t tx_data_msgs = 0;
-        std::uint64_t tx_ctrl_msgs = 0;
-        std::uint64_t tx_dropped = 0;
-        std::uint64_t tx_hops = 0; //!< links crossed by sent messages
-
-        // rx side (this node as msg.dst)
+        std::vector<TxChan> chans;  //!< indexed by dst
         std::vector<PendingMsg> heap; //!< min-heap via Pending order
         std::unique_ptr<sim::EventFunctionWrapper> ingress_event;
-        std::vector<std::uint64_t> delivered_from; //!< per src
-        std::uint64_t rx_count = 0; //!< Welford state for msg_latency
-        double rx_sum = 0.0;
-        double rx_mean = 0.0;
-        double rx_m2 = 0.0;
-        double rx_min = 0.0;
-        double rx_max = 0.0;
-        statistics::PercentileSketch rx_sketch;
     };
 
     /**
@@ -293,7 +264,6 @@ class Network : public sim::SimObject
     Node &ensureNode(NodeId id);
     void armIngress(Node &n);
     void ingressFire(NodeId id);
-    void rxSample(Node &n, double v);
 
     /**
      * Fill the empty @p msgs and @p busy with per-link message counts
@@ -306,7 +276,6 @@ class Network : public sim::SimObject
 
     Params params_;
     std::vector<Node> nodes_;
-    bool finalized_ = false;
 
     statistics::Scalar &stat_msgs_;
     statistics::Scalar &stat_bytes_;

@@ -160,8 +160,8 @@ TEST(Options, SimModeEchoedIntoProvenance)
     harness::System sys(testConfig(2), prog);
     ASSERT_TRUE(sys.run());
     EXPECT_NE(sys.provenanceJson().find(
-                  "\"sim_mode\": {\"parallel_sim\": 0, \"shards\": 1, "
-                  "\"dir_banks\": 1, \"topology\": \"crossbar\"}"),
+                  "\"sim_mode\": {\"dir_banks\": 1, "
+                  "\"topology\": \"crossbar\"}"),
               std::string::npos);
 
     for (auto write : {&harness::System::writeStatsJson,

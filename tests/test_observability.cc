@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/json.hh"
+#include "base/stats_json.hh"
 #include "harness/sweep.hh"
 #include "sim/trace_sink.hh"
 #include "tests/sim_test_util.hh"
@@ -289,6 +291,58 @@ TEST(SystemObservability, PeriodicSnapshotsFormTimeSeries)
         EXPECT_NE(snap.groups_json.find("\"l1_0\""),
                   std::string::npos);
     }
+}
+
+TEST(SystemObservability, SnapshotsCarryLiveNetworkCounters)
+{
+    // The quickstart's speculative run on a 16-core banked mesh: every
+    // snapshot reads the network as it stood at its tick.
+    harness::SystemConfig cfg;
+    cfg.num_cores = 16;
+    cfg.withTopology(mem::Topology::Mesh).withDirBanks(4);
+    cfg.withSpeculation();
+    cfg.stats_interval = 2000;
+    workload::LocalLockStream::Params params;
+    params.iters = 128;
+    workload::LocalLockStream wl(params);
+    isa::Program prog = wl.build(cfg.num_cores);
+    harness::System sys(cfg, prog);
+    ASSERT_TRUE(sys.run());
+
+    std::uint64_t prev_msgs = 0, prev_bytes = 0, prev_hops = 0;
+    std::size_t before_halt = 0;
+    for (const auto &snap : sys.snapshots()) {
+        if (snap.tick >= sys.runtimeCycles())
+            continue;
+        SCOPED_TRACE("snapshot at tick " + std::to_string(snap.tick));
+        analysis::Json doc;
+        std::string error;
+        ASSERT_TRUE(analysis::Json::parse(snap.groups_json, doc, error))
+            << error;
+        const analysis::Json &net = doc["network"];
+        auto scalar = [&net](const std::string &name) {
+            return net["network." + name]["value"].asU64();
+        };
+        EXPECT_GT(scalar("msgs"), prev_msgs);
+        EXPECT_GT(scalar("bytes"), prev_bytes);
+        EXPECT_GT(scalar("hops"), prev_hops);
+        EXPECT_LE(net["network.msg_latency"]["n"].asU64(), scalar("msgs"));
+        EXPECT_GT(scalar("links_used"), 0u);
+        EXPECT_GT(scalar("hot_link_msgs"), 0u);
+        prev_msgs = scalar("msgs");
+        prev_bytes = scalar("bytes");
+        prev_hops = scalar("hops");
+        ++before_halt;
+    }
+    EXPECT_GE(before_halt, 3u);
+
+    // The trailing snapshot is what a run stopped there reports.
+    std::ostringstream final_net;
+    statistics::printJson(final_net, *sys.stats().findGroup("network"));
+    ASSERT_FALSE(sys.snapshots().empty());
+    EXPECT_NE(sys.snapshots().back().groups_json.find(
+                  "\"network\": " + final_net.str()),
+              std::string::npos);
 }
 
 TEST(SystemObservability, StatsJsonDocumentComposes)

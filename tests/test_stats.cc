@@ -333,28 +333,6 @@ TEST(PercentileSketch, WeightedAddMatchesRepeated)
         EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
 }
 
-TEST(PercentileSketch, MergeIsOrderIndependent)
-{
-    // Elementwise bucket addition makes fold order invisible:
-    // whole = evens + odds = odds + evens.
-    PercentileSketch whole, evens, odds, ab, ba;
-    for (int v = 1; v <= 1000; ++v) {
-        whole.add(v);
-        (v % 2 == 0 ? evens : odds).add(v);
-    }
-    ab.merge(evens);
-    ab.merge(odds);
-    ba.merge(odds);
-    ba.merge(evens);
-    EXPECT_EQ(ab.samples(), whole.samples());
-    for (double q : {0.25, 0.5, 0.75, 0.95, 0.99}) {
-        EXPECT_DOUBLE_EQ(ab.quantile(q), whole.quantile(q))
-            << "q=" << q;
-        EXPECT_DOUBLE_EQ(ba.quantile(q), whole.quantile(q))
-            << "q=" << q;
-    }
-}
-
 TEST(PercentileSketch, ResetClears)
 {
     PercentileSketch s;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -159,13 +160,16 @@ class RecordingEndpoint : public MsgReceiver
     void
     receiveMsg(const Msg &msg) override
     {
-        arrivals.push_back({ctx_.curTick(), msg.hops});
+        arrivals.push_back(
+            {ctx_.curTick(), msg.sent_tick, msg.hops, msg.sizeBytes()});
     }
 
     struct Arrival
     {
         Tick tick;
+        Tick sent;
         std::uint8_t hops;
+        std::size_t bytes;
     };
     std::vector<Arrival> arrivals;
 
@@ -255,7 +259,7 @@ TEST(Topology, MeshPartialLastRowRoutesThroughEmptySlots)
 
     ASSERT_EQ(ep.arrivals.size(), 1u);
     EXPECT_EQ(ep.arrivals[0].hops, 5);
-    net.finalizeStats();
+    net.foldLinkStats();
     EXPECT_EQ(net.statGroup().scalarCount("hops"), 5u);
     EXPECT_EQ(net.statGroup().scalarCount("links_used"), 5u);
 }
@@ -283,7 +287,7 @@ TEST(Topology, MeshHopAndLinkStatsFold)
     ASSERT_EQ(ep.arrivals.size(), 1u);
     EXPECT_EQ(ep.arrivals[0].hops, 2);
 
-    net.finalizeStats();
+    net.foldLinkStats();
     EXPECT_EQ(net.statGroup().scalarCount("hops"), 2u);
     EXPECT_EQ(net.statGroup().scalarCount("links_used"), 2u);
     EXPECT_EQ(net.statGroup().scalarCount("hot_link_msgs"), 1u);
@@ -363,6 +367,36 @@ TEST(Topology, LinkOccupancyFoldMatchesPerMessageWalk)
         net.send(std::move(ack));
         ctx.eventq.run();
 
+        // The traffic counters and msg_latency are live: before any
+        // fold they match what the endpoints recorded.
+        std::uint64_t bytes = 0, hops = 0, arrived = 0;
+        double lat_sum = 0.0, lat_min = 0.0, lat_max = 0.0;
+        for (const auto &ep : eps) {
+            for (const auto &a : ep->arrivals) {
+                const auto lat = static_cast<double>(a.tick - a.sent);
+                lat_min = arrived == 0 ? lat : std::min(lat_min, lat);
+                lat_max = std::max(lat_max, lat);
+                lat_sum += lat;
+                bytes += a.bytes;
+                hops += a.hops;
+                ++arrived;
+            }
+        }
+        ASSERT_EQ(arrived, sends.size());
+        const statistics::StatGroup &g = net.statGroup();
+        EXPECT_EQ(g.scalarCount("msgs"), arrived);
+        EXPECT_EQ(g.scalarCount("bytes"), bytes);
+        EXPECT_EQ(g.scalarCount("hops"), hops);
+        EXPECT_EQ(g.scalarCount("dropped_msgs"), 1u);
+        const statistics::Distribution *lat =
+            g.findDistribution("msg_latency");
+        ASSERT_NE(lat, nullptr);
+        EXPECT_EQ(lat->samples(), arrived);
+        EXPECT_EQ(lat->minValue(), lat_min);
+        EXPECT_EQ(lat->maxValue(), lat_max);
+        EXPECT_DOUBLE_EQ(lat->mean(),
+                         lat_sum / static_cast<double>(arrived));
+
         std::uint64_t used = 0, hot_msgs = 0, hot_busy = 0;
         for (std::size_t l = 0; l < nlinks; ++l) {
             if (ref_msgs[l] == 0)
@@ -372,7 +406,7 @@ TEST(Topology, LinkOccupancyFoldMatchesPerMessageWalk)
             hot_busy = std::max(hot_busy, ref_busy[l]);
         }
         EXPECT_EQ(net.foldedLinkMsgs(), ref_msgs);
-        net.finalizeStats();
+        net.foldLinkStats();
         EXPECT_EQ(net.foldedLinkMsgs(), ref_msgs);
         EXPECT_EQ(net.droppedMsgs(), 1u);
         EXPECT_EQ(net.statGroup().scalarCount("msgs"), sends.size());
@@ -386,4 +420,53 @@ TEST(Topology, LinkOccupancyFoldMatchesPerMessageWalk)
             EXPECT_GT(hot_busy, hot_msgs);
         }
     }
+}
+
+TEST(Topology, ForEachChannelCountsInFlight)
+{
+    // Crossbar, latency 8, 16 bytes/cycle: a control message (8 bytes)
+    // serializes in 1 cycle, a data message (72 bytes) in 5.
+    sim::SimContext ctx;
+    Network::Params params;
+    Network net(ctx, "network", params);
+    std::vector<std::unique_ptr<RecordingEndpoint>> eps;
+    for (NodeId id = 0; id < 3; ++id) {
+        eps.push_back(std::make_unique<RecordingEndpoint>(ctx));
+        net.registerEndpoint(id, eps.back().get());
+    }
+    auto sendAt0 = [&](NodeId src, bool data) {
+        Msg msg;
+        msg.type = data ? MsgType::DataM : MsgType::GetS;
+        msg.src = src;
+        msg.dst = 1;
+        msg.block_addr = 0x40;
+        if (data)
+            msg.data.assign(64, 0xab);
+        net.send(std::move(msg));
+    };
+    // Channel 0 -> 1 arrives at 9, 10, 11; channel 2 -> 1 at 13, 18.
+    for (int i = 0; i < 3; ++i)
+        sendAt0(0, false);
+    sendAt0(2, true);
+    sendAt0(2, true);
+
+    using Seen = std::vector<std::tuple<NodeId, NodeId, Tick,
+                                        std::uint64_t>>;
+    auto channels = [&net] {
+        Seen seen;
+        net.forEachChannel([&](NodeId s, NodeId d, Network::Channel ch) {
+            seen.emplace_back(s, d, ch.last_arrival, ch.in_flight);
+        });
+        return seen;
+    };
+    EXPECT_EQ(channels(), (Seen{{0, 1, 11, 3}, {2, 1, 18, 2}}));
+    ctx.eventq.run(10);
+    EXPECT_EQ(eps[1]->arrivals.size(), 2u);
+    EXPECT_EQ(channels(), (Seen{{0, 1, 11, 1}, {2, 1, 18, 2}}));
+    ctx.eventq.run(15);
+    // A drained channel is still visited, with nothing in flight.
+    EXPECT_EQ(channels(), (Seen{{0, 1, 11, 0}, {2, 1, 18, 1}}));
+    ctx.eventq.run();
+    EXPECT_EQ(channels(), (Seen{{0, 1, 11, 0}, {2, 1, 18, 0}}));
+    EXPECT_EQ(eps[1]->arrivals.back().tick, 18u);
 }
